@@ -61,6 +61,7 @@ from .poset import (
     induced,
     is_inclusion,
     join,
+    linear_extension,
     linear_extensions,
     singleton,
     substitute,

@@ -171,7 +171,7 @@ def cmd_poly(args) -> int:
         if args.extension:
             ell = tuple(int(tok) for tok in args.extension.split(","))
         else:
-            ell = ps.linear_extensions(p)[0] if p.size else ()
+            ell = ps.linear_extension(p)
         result = pl.boxtimes_poly(p, parts, ell)
     _emit_poly(result, args.format, args.verbose)
     return 0

@@ -30,7 +30,7 @@ from .poset import (
     from_pairs,
     is_inclusion,
     join,
-    linear_extensions,
+    linear_extension,
     transitive_reduction,
 )
 from .tropical import boxtimes
@@ -256,8 +256,7 @@ class PolynomialAlgebra:
     unit = FinitePolynomial((1,))
 
     def box(self, p: FinitePoset, values: Sequence[FinitePolynomial]) -> FinitePolynomial:
-        extension = linear_extensions(p)[0] if p.size else ()
-        return boxtimes_poly(p, list(values), extension)
+        return boxtimes_poly(p, list(values), linear_extension(p))
 
     def holds(self, source: FinitePolynomial, target: FinitePolynomial) -> bool:
         # A morphism exists iff every source position has some target position
@@ -602,17 +601,6 @@ def diagram_realizing(p: FinitePoset) -> tuple[PartialPolygraph, StringDiagram]:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def polygraph_to_json_dict(pg: PartialPolygraph) -> dict:
-    pairs = sorted({tuple(sorted(pair)) for pair in pg.compat})
-    return {
-        "types": list(pg.types),
-        "compat": [list(pair) for pair in pairs],
-        "generators": {
-            name: {"src": list(src), "tgt": list(tgt)} for name, src, tgt in pg.generators
-        },
-    }
-
-
 def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
     if not isinstance(data, dict) or "types" not in data or "generators" not in data:
         raise ValueError("polygraph JSON needs 'types' and 'generators'")
@@ -621,21 +609,6 @@ def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
         str(name): (entry["src"], entry["tgt"]) for name, entry in data["generators"].items()
     }
     return make_polygraph([str(t) for t in data["types"]], compat, generators)
-
-
-def diagram_to_json_dict(diag: StringDiagram) -> dict:
-    def cell_dict(cell: Cell) -> dict:
-        if isinstance(cell, GenCell):
-            return {"gen": cell.gen}
-        if isinstance(cell, IdCell):
-            return {"id": cell.type}
-        return {"swap": [cell.left, cell.right]}
-
-    return {
-        "input": list(diag.inputs),
-        "output": list(diag.outputs),
-        "layers": [[cell_dict(c) for c in layer] for layer in diag.layers],
-    }
 
 
 def diagram_from_json_dict(polygraph: PartialPolygraph, data: dict) -> StringDiagram:

@@ -16,7 +16,14 @@ from functools import lru_cache
 from typing import Union
 
 from .expression import UNIT, Expression, Var, ox, tri
-from .poset import FinitePoset, _mask_elements, from_pairs, induced
+from .poset import (
+    FinitePoset,
+    _mask_elements,
+    comparability_graph,
+    components,
+    from_pairs,
+    induced,
+)
 
 #: The zig-zag pattern: 0 < 1, 2 < 1, 2 < 3 and no other relations.
 ZIGZAG = from_pairs(4, [(0, 1), (2, 1), (2, 3)])
@@ -63,84 +70,58 @@ def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
     Variable indices are the poset's element indices.  Failure is a return
     value, not an exception, so callers branch on the result.
     """
-    n = p.size
-    rows = [p._row(i) for i in range(n)]
-    cols = [p._col(i) for i in range(n)]
-    neighbors = [rows[i] | cols[i] for i in range(n)]
-
-    def components(mask: int) -> list[int]:
-        comps = []
-        seen = 0
-        probe = mask
-        while probe:
-            start = probe & -probe
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    m ^= low
-                    nxt |= neighbors[low.bit_length() - 1]
-                nxt &= mask
-                frontier = nxt & ~comp
-                comp |= nxt
-            comps.append(comp)
-            seen |= comp
-            probe = mask & ~seen
-        return comps
-
-    def obstruction_in(mask: int) -> Obstruction:
-        elems = _mask_elements(mask)
+    rows = [p._row(i) for i in range(p.size)]
+    result = normal_form(rows, comparability_graph(rows), (1 << p.size) - 1)
+    if isinstance(result, int):
+        elems = _mask_elements(result)
         witness = find_z(induced(p, elems))
         assert witness is not None, "split failed but no zig-zag found"
         return Obstruction(tuple(elems[k] for k in witness.elements))
+    return result
 
-    def rec(mask: int) -> Union[Expression, Obstruction]:
-        if mask == 0:
-            return UNIT
-        if mask & (mask - 1) == 0:
-            return Var(mask.bit_length() - 1)
-        comps = components(mask)
-        if len(comps) > 1:
-            parts = []
-            for comp in comps:
-                sub = rec(comp)
-                if isinstance(sub, Obstruction):
-                    return sub
-                parts.append(sub)
-            return ox(*parts)
-        maxima = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if rows[low.bit_length() - 1] & mask == 0:
-                maxima |= low
-        bottom = 0
-        m = mask & ~maxima
-        while m:
-            low = m & -m
-            m ^= low
-            if rows[low.bit_length() - 1] & maxima == maxima:
-                bottom |= low
-        top = mask & ~bottom
-        if bottom == 0:
-            return obstruction_in(mask)
-        m = bottom
-        while m:
-            low = m & -m
-            m ^= low
-            if rows[low.bit_length() - 1] & top != top:
-                # Some element escapes the join split; a zig-zag is hiding here.
-                return obstruction_in(mask)
-        lower = rec(bottom)
-        if isinstance(lower, Obstruction):
-            return lower
-        upper = rec(top)
-        if isinstance(upper, Obstruction):
-            return upper
-        return tri(lower, upper)
 
-    return rec((1 << n) - 1)
+def normal_form(rows, neighbors, mask: int) -> Union[Expression, int]:
+    """Normal-form expression of the sub-poset on ``mask``, variables named by element.
+
+    ``rows`` are the elements' up-set masks and ``neighbors`` their
+    comparability masks.  Where some connected part splits neither into
+    components nor at its top, that part's mask is returned instead: it
+    holds a zig-zag.
+    """
+    if mask & (mask - 1) == 0:
+        return Var(mask.bit_length() - 1) if mask else UNIT
+    parts = components(neighbors, mask)
+    product = ox
+    if len(parts) == 1:
+        parts, product = top_split(rows, mask), tri
+        if parts is None:
+            return mask
+    exprs = []
+    for part in parts:
+        sub = normal_form(rows, neighbors, part)
+        if isinstance(sub, int):
+            return sub
+        exprs.append(sub)
+    return product(*exprs)
+
+
+def top_split(rows, mask: int) -> tuple[int, int] | None:
+    """The join split (lower, upper) of the sub-poset on ``mask``, or None.
+
+    The lower part is the set of elements strictly below every maximal
+    element; the split exists when it is nonempty and lies below the whole
+    upper part.
+    """
+    elems = _mask_elements(mask)
+    maxima = 0
+    for i in elems:
+        if rows[i] & mask == 0:
+            maxima |= 1 << i
+    lower = 0
+    for i in elems:
+        if rows[i] & maxima == maxima:
+            lower |= 1 << i
+    upper = mask & ~lower
+    if lower == 0 or any(rows[i] & upper != upper for i in _mask_elements(lower)):
+        return None
+    return lower, upper

@@ -8,7 +8,8 @@ and ox children are sorted by least variable index, so two expressions denote
 the same poset exactly when they are equal values.
 
 Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i,
-``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``.
+``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at most ``MAX_NESTING``
+parentheses deep.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class Tri:
 Expression = Union[Unit, Var, Otimes, Tri]
 
 UNIT = Unit()
+
+#: Deepest parenthesis nesting ``parse_expression`` accepts.  Every pass over a
+#: term recurses once per level; this keeps a parsed term well inside
+#: Python's default recursion limit even when ox and tri alternate, so that
+#: no level flattens into its parent.
+MAX_NESTING = 200
 
 
 def variables(expr: Expression) -> tuple[int, ...]:
@@ -139,17 +146,6 @@ def is_normal(expr: Expression) -> bool:
     return normalize(expr) == expr
 
 
-def rename_vars(expr: Expression, mapping: dict[int, int]) -> Expression:
-    """Relabel variables; the mapping must be strictly monotone on the var set
-    so the canonical ox ordering is preserved."""
-    if isinstance(expr, Unit):
-        return expr
-    if isinstance(expr, Var):
-        return Var(mapping[expr.index])
-    children = tuple(rename_vars(c, mapping) for c in expr.children)
-    return Otimes(children) if isinstance(expr, Otimes) else Tri(children)
-
-
 @lru_cache(maxsize=None)
 def evaluate_labeled(expr: Expression) -> tuple[frozenset[tuple[int, int]], tuple[int, ...]]:
     """Interpret the term over its own variable labels.
@@ -205,6 +201,11 @@ def format_expression(expr: Expression) -> str:
 def parse_expression(text: str) -> Expression:
     """Parse the s-expression syntax, normalizing as it builds."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    depth = 0
+    for tok in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise MalformedExpression(f"expression nests deeper than {MAX_NESTING} parentheses")
     pos = 0
 
     def parse_one() -> Expression:

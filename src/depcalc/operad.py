@@ -29,7 +29,7 @@ from .poset import (
     induced,
     is_inclusion,
     is_linear_extension,
-    linear_extensions,
+    linear_extension,
     singleton,
     substitute,
 )
@@ -114,8 +114,8 @@ def _separating_extension(p: FinitePoset, i: int, j: int) -> tuple[int, ...]:
     """A linear extension of p in which i immediately precedes j."""
     lower = [x for x in range(p.size) if p.lt(x, i) or p.lt(x, j)]
     rest = [x for x in range(p.size) if x not in (i, j) and x not in set(lower)]
-    head = linear_extensions(induced(p, lower))[0]
-    tail = linear_extensions(induced(p, rest))[0]
+    head = linear_extension(induced(p, lower))
+    tail = linear_extension(induced(p, rest))
     return tuple(lower[k] for k in head) + (i, j) + tuple(rest[k] for k in tail)
 
 
@@ -127,7 +127,7 @@ def expressible_covers(p: FinitePoset) -> list[FinitePoset]:
     """
     covers: list[FinitePoset] = []
     if p.size:
-        base = linear_extensions(p)[0]
+        base = linear_extension(p)
         chain_pairs = [
             (base[a], base[b]) for a in range(p.size) for b in range(a + 1, p.size)
         ]

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import ArityError, InvalidExtension, SizeError
-from .poset import FinitePoset, is_linear_extension
+from .poset import FinitePoset, _is_json_int, is_linear_extension
 
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
@@ -312,6 +312,6 @@ def from_json_dict(data: dict) -> FinitePolynomial:
     if not isinstance(data, dict) or "positions" not in data:
         raise ValueError("polynomial JSON must be an object with a 'positions' field")
     counts = data["positions"]
-    if not isinstance(counts, list) or any(not isinstance(d, int) or d < 0 for d in counts):
+    if not isinstance(counts, list) or any(not _is_json_int(d) or d < 0 for d in counts):
         raise ValueError("'positions' must be a list of nonnegative direction counts")
     return FinitePolynomial(tuple(counts))

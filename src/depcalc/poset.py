@@ -14,7 +14,7 @@ and unital on the nose and equality of posets is literal equality.
 
 from __future__ import annotations
 
-import json
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -276,6 +276,25 @@ def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
     return out
 
 
+def linear_extension(p: FinitePoset) -> tuple[int, ...]:
+    """The first of :func:`linear_extensions`, without enumerating the rest.
+
+    Kahn's algorithm, always placing the least element whose predecessors
+    are all placed.
+    """
+    waiting = [p._col(e).bit_count() for e in range(p.size)]
+    ready = [e for e, count in enumerate(waiting) if count == 0]
+    order = []
+    while ready:
+        e = heapq.heappop(ready)
+        order.append(e)
+        for up in _mask_elements(p._row(e)):
+            waiting[up] -= 1
+            if waiting[up] == 0:
+                heapq.heappush(ready, up)
+    return tuple(order)
+
+
 def is_linear_extension(p: FinitePoset, order: tuple[int, ...]) -> bool:
     if sorted(order) != list(range(p.size)):
         return False
@@ -302,26 +321,34 @@ def chains(p: FinitePoset) -> list[tuple[int, ...]]:
 
 def connected_components(p: FinitePoset) -> list[tuple[int, ...]]:
     """Components of the undirected comparability graph, sorted by least element."""
-    n = p.size
-    neighbors = [p._row(i) | p._col(i) for i in range(n)]
-    seen = 0
-    comps: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
+    rows = [p._row(i) for i in range(p.size)]
+    return [_mask_elements(c) for c in components(comparability_graph(rows), (1 << p.size) - 1)]
+
+
+def comparability_graph(rows) -> list[int]:
+    """Per element, the mask of elements comparable to it, given its row masks."""
+    neighbors = list(rows)
+    for i, row in enumerate(rows):
+        for j in _mask_elements(row):
+            neighbors[j] |= 1 << i
+    return neighbors
+
+
+def components(neighbors, mask: int) -> list[int]:
+    """Connected components of the graph restricted to ``mask``, as masks by least element."""
+    comps = []
+    probe = mask
+    while probe:
+        comp = frontier = probe & -probe
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= neighbors[low.bit_length() - 1]
+            for i in _mask_elements(frontier):
+                nxt |= neighbors[i]
+            nxt &= mask
             frontier = nxt & ~comp
             comp |= nxt
-        seen |= comp
-        comps.append(_mask_elements(comp))
+        comps.append(comp)
+        probe &= ~comp
     return comps
 
 
@@ -391,22 +418,21 @@ def from_json_dict(data: dict) -> FinitePoset:
         raise ValueError("poset JSON must be an object with an 'elements' field")
     n = data["elements"]
     relations = data.get("relations", [])
-    if not isinstance(n, int) or n < 0:
+    if not _is_json_int(n) or n < 0:
         raise ValueError("'elements' must be a nonnegative integer")
     pairs = []
     for item in relations:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValueError(f"bad relation entry {item!r}")
-        pairs.append((int(item[0]), int(item[1])))
+        if not all(map(_is_json_int, item)):
+            raise ValueError(f"relation entry {item!r} must hold two integers")
+        pairs.append((item[0], item[1]))
     return from_pairs(n, pairs)
 
 
-def to_json(p: FinitePoset) -> str:
-    return json.dumps(to_json_dict(p), sort_keys=True)
-
-
-def from_json(text: str) -> FinitePoset:
-    return from_json_dict(json.loads(text))
+def _is_json_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def to_dot(p: FinitePoset) -> str:

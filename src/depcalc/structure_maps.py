@@ -13,6 +13,13 @@ and in the crossing case route through the three-step interchanger
 factorization on the four overlap blocks.  Unit corners are absorbed by the
 normal form, which is how the comparitor a ox b -> a tri b shows up as a
 degenerate interchanger.
+
+The recursion runs on the row masks of the two posets and reuses the splits
+of ``decompose``: ``components`` for the target's layers, ``top_split`` for
+the source's, and ``normal_form`` for the expression at each Equiv leaf.
+``verify_proof`` deliberately does not: it re-evaluates every node's
+endpoints with ``evaluate_labeled``, so a fault in those shared splits cannot
+make a wrong derivation check out.
 """
 
 from __future__ import annotations
@@ -22,19 +29,9 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
-from .expression import (
-    Expression,
-    evaluate_labeled,
-    format_expression,
-    ox,
-    rename_vars,
-    tri,
-)
-from .expressible import Obstruction, decompose, find_z
-from .poset import FinitePoset, from_pairs, is_inclusion
-
-Rel = frozenset  # of (label, label) pairs
-Labels = tuple  # sorted labels
+from .expression import Expression, evaluate_labeled, format_expression, ox, tri
+from .expressible import find_z, normal_form, top_split
+from .poset import FinitePoset, comparability_graph, components, is_inclusion
 
 
 @dataclass(frozen=True)
@@ -103,136 +100,71 @@ def proof_target(p: Proof) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Labeled-poset helpers (relations as frozensets of label pairs)
+# Derivation over row masks (row i is the mask of elements above element i)
 
-def _restrict(rel: Rel, sub: Labels) -> Rel:
-    keep = set(sub)
-    return frozenset(pair for pair in rel if pair[0] in keep and pair[1] in keep)
+Rows = tuple  # of int masks, one per element up to the largest one in play
 
 
-def _components(rel: Rel, labels: Labels) -> list[Labels]:
-    adj: dict[int, set[int]] = {v: set() for v in labels}
-    for x, y in rel:
-        adj[x].add(y)
-        adj[y].add(x)
-    seen: set[int] = set()
-    comps = []
-    for start in labels:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
+def _restrict(rows: Rows, mask: int) -> Rows:
+    """The sub-poset on ``mask``."""
+    return tuple(rows[i] & mask if mask >> i & 1 else 0 for i in range(mask.bit_length()))
 
 
-def _join_split(rel: Rel, labels: Labels) -> tuple[Labels, Labels] | None:
-    """Split into (lower, upper) with every lower element below every upper one.
+def _union(rows: Rows, left: int, right: int) -> Rows:
+    """The disjoint union of the sub-posets on two disjoint masks."""
+    both = left | right
+    return tuple(
+        rows[i] & (left if left >> i & 1 else right) if both >> i & 1 else 0
+        for i in range(both.bit_length())
+    )
 
-    Uses the canonical top split: the lower part is the set of elements
-    strictly below every maximal element.  Returns None when the poset is not
-    a join of nonempty parts.
-    """
-    if len(labels) < 2:
-        return None
-    above: dict[int, set[int]] = {v: set() for v in labels}
-    for x, y in rel:
-        above[x].add(y)
-    maxima = [v for v in labels if not above[v]]
-    bottom = tuple(v for v in labels if all(m in above[v] for m in maxima))
-    if not bottom:
-        return None
-    top = tuple(v for v in labels if v not in set(bottom))
-    for v in bottom:
-        if not all(u in above[v] for u in top):
-            return None
-    return bottom, top
+
+def _join(rows: Rows, lower: int, upper: int) -> Rows:
+    """The join of the sub-posets on two disjoint masks, ``lower`` below ``upper``."""
+    union = _union(rows, lower, upper)
+    return tuple(row | upper if lower >> i & 1 else row for i, row in enumerate(union))
 
 
 @lru_cache(maxsize=None)
-def _expr_of(rel: Rel, labels: Labels) -> Expression:
-    """Canonical expression of an expressible labeled poset."""
-    index = {v: k for k, v in enumerate(labels)}
-    packed = from_pairs(len(labels), [(index[x], index[y]) for x, y in rel])
-    expr = decompose(packed)
-    assert not isinstance(expr, Obstruction), "labeled sub-poset must be expressible"
-    return rename_vars(expr, dict(enumerate(labels)))
+def _derive(mask: int, rows_a: Rows, rows_b: Rows) -> Proof:
+    # Memoized: sweeps over many poset pairs hit the same subproblems.
+    def sub(part: int) -> Proof:
+        return _derive(part, _restrict(rows_a, part), _restrict(rows_b, part))
 
-
-def _cross(a: Labels, b: Labels) -> set[tuple[int, int]]:
-    return {(x, y) for x in a for y in b}
-
-
-@lru_cache(maxsize=None)
-def _derive(rel_a: Rel, rel_b: Rel, labels: Labels) -> Proof:
-    # Memoized: sweeps over many poset pairs hit the same labeled subproblems.
-    if rel_a == rel_b:
-        e = _expr_of(rel_a, labels)
+    if rows_a == rows_b:
+        e = normal_form(rows_a, comparability_graph(rows_a), mask)
+        assert not isinstance(e, int), "inputs must be expressible"
         return Equiv(e, e)
 
-    comps_b = _components(rel_b, labels)
+    comps_b = components(comparability_graph(rows_b), mask)
     if len(comps_b) > 1:
-        return OtimesPar(
-            tuple(_derive(_restrict(rel_a, c), _restrict(rel_b, c), c) for c in comps_b)
-        )
+        return OtimesPar(tuple(sub(c) for c in comps_b))
 
-    split_a = _join_split(rel_a, labels)
+    split_a = top_split(rows_a, mask)
     if split_a is not None:
-        bot, top = split_a
-        return TriPar(
-            (
-                _derive(_restrict(rel_a, bot), _restrict(rel_b, bot), bot),
-                _derive(_restrict(rel_a, top), _restrict(rel_b, top), top),
-            )
-        )
+        return TriPar(tuple(sub(half) for half in split_a))
 
     # Crossing case: the source splits as a disjoint union, the target as a
     # join, and the identity factors through the interchanger on the four
     # overlap blocks.
-    comps_a = _components(rel_a, labels)
-    split_b = _join_split(rel_b, labels)
+    comps_a = components(comparability_graph(rows_a), mask)
+    split_b = top_split(rows_b, mask)
     assert len(comps_a) > 1 and split_b is not None, "inputs must be expressible"
     a1 = comps_a[0]
-    a2 = tuple(sorted(v for c in comps_a[1:] for v in c))
+    a2 = mask & ~a1
     b1, b2 = split_b
-    blocks = {
-        (1, 1): tuple(v for v in a1 if v in set(b1)),
-        (1, 2): tuple(v for v in a1 if v in set(b2)),
-        (2, 1): tuple(v for v in a2 if v in set(b1)),
-        (2, 2): tuple(v for v in a2 if v in set(b2)),
-    }
-
-    def joined_source(left: Labels, right: Labels) -> Rel:
-        return frozenset(
-            set(_restrict(rel_a, left)) | set(_restrict(rel_a, right)) | _cross(left, right)
-        )
-
+    blocks = (a1 & b1, a1 & b2, a2 & b1, a2 & b2)
     step1 = OtimesPar(
         (
-            _derive(_restrict(rel_a, a1), joined_source(blocks[1, 1], blocks[1, 2]), a1),
-            _derive(_restrict(rel_a, a2), joined_source(blocks[2, 1], blocks[2, 2]), a2),
+            _derive(a1, _restrict(rows_a, a1), _join(rows_a, blocks[0], blocks[1])),
+            _derive(a2, _restrict(rows_a, a2), _join(rows_a, blocks[2], blocks[3])),
         )
     )
-    middle = InterchangerSubst(
-        *(
-            _derive(_restrict(rel_a, blocks[key]), _restrict(rel_b, blocks[key]), blocks[key])
-            for key in ((1, 1), (1, 2), (2, 1), (2, 2))
-        )
-    )
-
-    def union_rel(left: Labels, right: Labels) -> Rel:
-        return frozenset(set(_restrict(rel_b, left)) | set(_restrict(rel_b, right)))
-
+    middle = InterchangerSubst(*(sub(block) for block in blocks))
     step3 = TriPar(
         (
-            _derive(union_rel(blocks[1, 1], blocks[2, 1]), _restrict(rel_b, b1), b1),
-            _derive(union_rel(blocks[1, 2], blocks[2, 2]), _restrict(rel_b, b2), b2),
+            _derive(b1, _union(rows_b, blocks[0], blocks[2]), _restrict(rows_b, b1)),
+            _derive(b2, _union(rows_b, blocks[1], blocks[3]), _restrict(rows_b, b2)),
         )
     )
     return Compose(Compose(step1, middle), step3)
@@ -275,8 +207,8 @@ def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
         witness = find_z(side)
         if witness is not None:
             raise NotExpressible(witness)
-    labels = tuple(range(p.size))
-    proof = _derive(frozenset(p.pairs()), frozenset(q.pairs()), labels)
+    rows_p, rows_q = (tuple(side._row(i) for i in range(side.size)) for side in (p, q))
+    proof = _derive((1 << p.size) - 1, rows_p, rows_q)
     return _simplify(proof)
 
 

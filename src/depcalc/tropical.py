@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityError
-from .poset import FinitePoset
+from .poset import FinitePoset, linear_extension
 
 Runtime = Fraction
 
@@ -51,25 +51,11 @@ def _best_ending_at(p: FinitePoset, values: list[Runtime]) -> list[Runtime]:
     # predecessors" and "immediate predecessors" give the same maximum.
     n = p.size
     best: list[Runtime | None] = [None] * n
-    order = _topological(p)
-    for e in order:
+    for e in linear_extension(p):
         preds = p.below(e)
         incoming = max((best[q] for q in preds), default=Fraction(0))
         best[e] = incoming + values[e]
     return best  # type: ignore[return-value]
-
-
-def _topological(p: FinitePoset) -> list[int]:
-    n = p.size
-    remaining = set(range(n))
-    order = []
-    while remaining:
-        for e in sorted(remaining):
-            if all(q not in remaining for q in p.below(e)):
-                order.append(e)
-                remaining.remove(e)
-                break
-    return order
 
 
 @dataclass(frozen=True)
@@ -97,13 +83,14 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
         return Schedule((), (), Fraction(0), ())
     start: list[Runtime] = [Fraction(0)] * n
     finish: list[Runtime] = [Fraction(0)] * n
-    for e in _topological(p):
+    order = linear_extension(p)
+    for e in order:
         start[e] = max((finish[q] for q in p.below(e)), default=Fraction(0))
         finish[e] = start[e] + values[e]
     makespan = max(finish)
 
     best_from: list[Runtime | None] = [None] * n
-    for e in reversed(_topological(p)):
+    for e in reversed(order):
         outgoing = max((best_from[s] for s in p.above(e)), default=Fraction(0))
         best_from[e] = values[e] + outgoing
 

@@ -113,6 +113,13 @@ def all_posets(n: int) -> tuple:
     return tuple(enumerate_posets(n))
 
 
+def alternating_nest(depth: int) -> str:
+    """(ox x0 (tri x1 (ox x2 ...))) with `depth` parentheses; no level flattens."""
+    heads = ("ox", "tri")
+    opened = "".join(f"({heads[k % 2]} x{k} " for k in range(depth))
+    return opened + f"x{depth}" + ")" * depth
+
+
 # ---------------------------------------------------------------------------
 # Tropical oracle
 

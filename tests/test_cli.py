@@ -4,7 +4,10 @@ import pytest
 
 from depcalc import from_pairs, parse_expression
 from depcalc.cli import main
+from depcalc.expression import MAX_NESTING
 from depcalc.poset import from_json_dict, to_json_dict
+
+from conftest import alternating_nest
 
 ZIGZAG_JSON = {"elements": 4, "relations": [[0, 1], [2, 1], [2, 3]]}
 EXPR_JSON = {"elements": 4, "relations": [[0, 1], [0, 2], [2, 3]]}
@@ -313,6 +316,27 @@ def test_poly_bad_json_exits_two(write, capsys):
     bad = write("l.json", {"positions": [-1]})
     code, _, err = run(capsys, "poly", "ox", "--left", bad, "--right", bad)
     assert code == 2
+
+
+def test_non_integer_json_exits_two(write, capsys):
+    for name, payload in (
+        ("float.json", {"elements": 3, "relations": [[0, 1.7]]}),
+        ("bool.json", {"elements": True, "relations": []}),
+    ):
+        code, out, err = run(capsys, "check", "--poset", write(name, payload))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run(capsys, "poly", "ox", "--left", write("p.json", {"positions": [True]}),
+                       "--right", write("q.json", {"positions": [1]}))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_eval_nesting_past_the_cap_exits_two(capsys):
+    depth = MAX_NESTING + 1
+    for expr in (alternating_nest(depth), "(tri " * 1500 + "x0" + ")" * 1500):
+        code, out, err = run(capsys, "eval", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_derive_missing_file_exits_two(capsys):

@@ -18,6 +18,9 @@ from depcalc import (
     parse_expression,
     tri,
 )
+from depcalc.expression import MAX_NESTING
+
+from conftest import alternating_nest
 
 
 def test_constructors_normalize():
@@ -56,6 +59,20 @@ def test_parse_errors():
     for text in ["", "(ox x0", "(foo x0 x1)", "x0 x1", "(ox x0 y1)"]:
         with pytest.raises(MalformedExpression):
             parse_expression(text)
+
+
+def test_parse_nesting_cap():
+    depth = MAX_NESTING
+    # x_k sits below everything after it exactly when its level is a tri.
+    expected = from_pairs(
+        depth + 1, [(k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1)]
+    )
+    assert evaluate(parse_expression(alternating_nest(depth))) == expected
+    with pytest.raises(MalformedExpression, match="nests deeper than"):
+        parse_expression(alternating_nest(depth + 1))
+    # Same-kind levels flatten, but the text nesting is still capped.
+    with pytest.raises(MalformedExpression):
+        parse_expression("(tri " * (depth + 1) + "x0" + ")" * (depth + 1))
 
 
 def test_evaluate_examples():

@@ -349,3 +349,6 @@ def test_json_roundtrip():
         from_json_dict({"positions": [-1]})
     with pytest.raises(ValueError):
         from_json_dict({})
+    for bad in ([True], [1.5], [2, False]):
+        with pytest.raises(ValueError):
+            from_json_dict({"positions": bad})

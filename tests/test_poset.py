@@ -22,6 +22,7 @@ from depcalc import (
     induced,
     is_inclusion,
     join,
+    linear_extension,
     linear_extensions,
     singleton,
     substitute,
@@ -205,6 +206,12 @@ def test_linear_extensions_counts():
     assert len(brute) == 5
 
 
+def test_linear_extension_is_the_first_extension():
+    for n in range(6):
+        for p in all_posets(n):
+            assert linear_extension(p) == linear_extensions(p)[0]
+
+
 def test_every_extension_is_a_containing_chain():
     for p in all_posets(4):
         exts = linear_extensions(p)
@@ -297,6 +304,14 @@ def test_json_rejects_garbage():
         from_json_dict({"elements": -1})
     with pytest.raises(ValueError):
         from_json_dict({"elements": 2, "relations": [[0]]})
+    for bad in (
+        {"elements": 3, "relations": [[0, 1.7]]},
+        {"elements": 3, "relations": [[0, True]]},
+        {"elements": True, "relations": []},
+        {"elements": 2.0},
+    ):
+        with pytest.raises(ValueError):
+            from_json_dict(bad)
 
 
 def test_dot_export():

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from depcalc import (
     Compose,
     Equiv,
+    FinitePoset,
     InterchangerSubst,
     NotExpressible,
     NotInclusion,
@@ -12,13 +17,15 @@ from depcalc import (
     antichain,
     chain,
     derive_structure_map,
+    enumerate_posets,
     evaluate,
     format_proof,
+    from_pairs,
     is_inclusion,
     parse_expression,
     verify_proof,
 )
-from depcalc.structure_maps import proof_source, proof_target
+from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
 from conftest import buildable_posets
 
@@ -131,3 +138,63 @@ def test_format_proof_shape():
     kinds = {line.strip().split(":")[0] for line in text.splitlines()}
     assert kinds <= {"equiv", "compose", "otimes-par", "tri-par", "interchanger-subst"}
     assert verify_proof(proof)
+
+
+def _random_expressible(rng, n):
+    """A random binary build tree of disjoint unions and joins over shuffled labels."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+
+    def build(block):
+        if len(block) == 1:
+            return set()
+        k = rng.randint(1, len(block) - 1)
+        lower, upper = block[:k], block[k:]
+        rel = build(lower) | build(upper)
+        if rng.random() < 0.5:
+            rel |= {(x, y) for x in lower for y in upper}
+        return rel
+
+    return from_pairs(n, build(labels))
+
+
+def _golden_corpus():
+    """Every pair of posets with n <= 4, plus seeded n = 5/6 pairs.
+
+    Half of the seeded pairs intersect the target with a second random
+    expressible poset, so they are inclusions (crossing cases included) whose
+    source may or may not be expressible.
+    """
+    for n in range(5):
+        posets = list(enumerate_posets(n))
+        for p in posets:
+            for q in posets:
+                yield p, q
+    rng = random.Random(20221004)
+    for n in (5, 6):
+        for k in range(300):
+            q = _random_expressible(rng, n)
+            other = _random_expressible(rng, n)
+            p = FinitePoset(n, q.bits & other.bits) if k % 2 else other
+            yield p, q
+
+
+#: sha256 over format_proof, sorted-key proof JSON and error text on the corpus.
+GOLDEN_DIGEST = "a517b864de4f0a556a0bbb79dd42b35c04893b3fcfeca0bb73d1e635505870c6"
+
+
+def test_golden_corpus_output_is_unchanged():
+    digest = hashlib.sha256()
+    crossings = 0
+    for p, q in _golden_corpus():
+        try:
+            proof = derive_structure_map(p, q)
+        except (NotInclusion, NotExpressible) as err:
+            digest.update(f"{type(err).__name__}: {err}\n".encode())
+            continue
+        text = format_proof(proof)
+        crossings += "interchanger-subst" in text
+        digest.update(text.encode() + b"\n")
+        digest.update(json.dumps(proof_to_json_dict(proof), sort_keys=True).encode() + b"\n")
+    assert crossings > 1000
+    assert digest.hexdigest() == GOLDEN_DIGEST
