@@ -137,13 +137,16 @@ def cmd_tropical(args) -> int:
         }
         _print(json.dumps(payload, sort_keys=True))
         return 0
+    # Drawn before anything is printed, so a chart past its size cap leaves
+    # only the error line.
+    chart = render_gantt(plan, as_runtime(args.resolution)) if args.gantt else None
     _print(f"makespan: {plan.makespan}")
     _print("element start finish")
     for e in range(p.size):
         _print(f"{e:>7} {str(plan.start[e]):>5} {str(plan.finish[e]):>6}")
     _print("critical chain: " + (" ".join(map(str, plan.critical_chain)) or "(empty)"))
-    if args.gantt:
-        _print(render_gantt(plan, as_runtime(args.resolution)))
+    if chart is not None:
+        _print(chart)
     return 0
 
 

@@ -39,7 +39,19 @@ class MalformedExpression(DepcalcError):
 
 
 class NotInclusion(DepcalcError):
-    """No identity-on-elements inclusion exists between the given posets."""
+    """No identity-on-elements inclusion exists between the given posets.
+
+    The two posets are attached as ``source`` and ``target``; the message,
+    which lists both relations, is built only when it is read.
+    """
+
+    def __init__(self, source, target):
+        self.source = source
+        self.target = target
+        super().__init__(source, target)
+
+    def __str__(self):
+        return f"no identity-on-elements inclusion ({self.source!r} into {self.target!r})"
 
 
 class NotExpressible(DepcalcError):

@@ -42,21 +42,27 @@ def find_z(p: FinitePoset) -> Obstruction | None:
 
     A quadruple (a, b, c, d) qualifies when the induced order on those four
     elements is exactly a < b, c < b, c < d.
+
+    The search scans per-element masks: for ``a`` ascending, ``b`` ascending
+    above ``a``, and ``c`` ascending below ``b`` and incomparable to ``a``,
+    the candidates for ``d`` are one mask (above ``c``, comparable to neither
+    ``a`` nor ``b``), whose lowest bit is the least ``d``.  The cost is at
+    most O(n³) word operations while n fits a machine word (each mask
+    operation is n/64 words beyond that), and the scan stops at the first
+    witness.
     """
-    n = p.size
-    for a in range(n):
-        for b in range(n):
-            if b == a or not p.lt(a, b):
-                continue
-            for c in range(n):
-                if c in (a, b) or not p.lt(c, b) or p.comparable(a, c):
-                    continue
-                for d in range(n):
-                    if d in (a, b, c) or not p.lt(c, d):
-                        continue
-                    if p.comparable(a, d) or p.comparable(b, d):
-                        continue
-                    return Obstruction((a, b, c, d))
+    rows = [p._row(i) for i in range(p.size)]
+    near = comparability_graph(rows)
+    for a, row_a in enumerate(rows):
+        # b is in near[a], so "far from a" also rules out d == b.
+        far_a = ~(near[a] | 1 << a)
+        for b in _mask_elements(row_a):
+            far_ab = far_a & ~near[b]
+            below_b = near[b] & ~rows[b]
+            for c in _mask_elements(below_b & far_a):
+                ds = rows[c] & far_ab
+                if ds:
+                    return Obstruction((a, b, c, (ds & -ds).bit_length() - 1))
     return None
 
 
@@ -87,22 +93,36 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, int]:
     comparability masks.  Where some connected part splits neither into
     components nor at its top, that part's mask is returned instead: it
     holds a zig-zag.
+
+    Join factors are peeled off the top in a loop, lowest part first, so a
+    chain costs no recursion depth; only alternations of ox and tri recurse.
     """
-    if mask & (mask - 1) == 0:
-        return Var(mask.bit_length() - 1) if mask else UNIT
-    parts = components(neighbors, mask)
-    product = ox
-    if len(parts) == 1:
-        parts, product = top_split(rows, mask), tri
-        if parts is None:
+    uppers = []
+    while mask & (mask - 1):
+        parts = components(neighbors, mask)
+        if len(parts) > 1:
+            exprs = []
+            for part in parts:
+                sub = normal_form(rows, neighbors, part)
+                if isinstance(sub, int):
+                    return sub
+                exprs.append(sub)
+            bottom = ox(*exprs)
+            break
+        split = top_split(rows, mask)
+        if split is None:
             return mask
-    exprs = []
-    for part in parts:
-        sub = normal_form(rows, neighbors, part)
+        mask, upper = split
+        uppers.append(upper)
+    else:
+        bottom = Var(mask.bit_length() - 1) if mask else UNIT
+    factors = [bottom]
+    for upper in reversed(uppers):
+        sub = normal_form(rows, neighbors, upper)
         if isinstance(sub, int):
             return sub
-        exprs.append(sub)
-    return product(*exprs)
+        factors.append(sub)
+    return tri(*factors)
 
 
 def top_split(rows, mask: int) -> tuple[int, int] | None:

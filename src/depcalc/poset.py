@@ -129,9 +129,14 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
         for j in range(size):
             if rows[i] >> j & 1 and rows[j] >> i & 1:
                 raise CycleError((i, j))
+    return _from_rows(size, rows)
+
+
+def _from_rows(size: int, rows: Iterable[int]) -> FinitePoset:
+    # Packs closed up-set masks, one per element, row-major.
     bits = 0
-    for i in range(size):
-        bits |= rows[i] << (i * size)
+    for i, row in enumerate(rows):
+        bits |= row << (i * size)
     return FinitePoset(size, bits)
 
 
@@ -145,7 +150,8 @@ def singleton() -> FinitePoset:
 
 def chain(n: int) -> FinitePoset:
     """The linear order 0 < 1 < ... < n-1."""
-    return _pack(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return _from_rows(n, (full ^ ((2 << i) - 1) for i in range(n)))
 
 
 def antichain(n: int) -> FinitePoset:

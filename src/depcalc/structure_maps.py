@@ -202,7 +202,7 @@ def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
     NotExpressible (carrying the zig-zag) when either poset fails recognition.
     """
     if not is_inclusion(p, q):
-        raise NotInclusion(f"no identity-on-elements inclusion ({p!r} into {q!r})")
+        raise NotInclusion(p, q)
     for side in (p, q):
         witness = find_z(side)
         if witness is not None:

@@ -17,10 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ArityError
+from .errors import ArityError, SizeError
 from .poset import FinitePoset, linear_extension
 
 Runtime = Fraction
+
+#: Widest chart ``render_gantt`` draws: a finer resolution would make a row
+#: per element of this many cells, so it raises SizeError instead.
+MAX_GANTT_COLUMNS = 10_000
 
 
 def as_runtime(value) -> Runtime:
@@ -117,14 +121,19 @@ def render_gantt(plan: Schedule, resolution: Runtime | int = 1) -> str:
     """Fixed-width text chart, one row per element, one column per resolution step.
 
     A cell is filled when the task overlaps that time window; zero-duration
-    tasks mark their start instant.
+    tasks mark their start instant.  Raises SizeError when the chart would
+    need more than ``MAX_GANTT_COLUMNS`` columns.
     """
     res = as_runtime(resolution)
     if res == 0:
         raise ValueError("resolution must be positive")
     n = len(plan.start)
-    columns = max(1, -(-plan.makespan // res)) if plan.makespan > 0 else 1
-    columns = int(columns)
+    columns = int(max(1, -(-plan.makespan // res)))
+    if columns > MAX_GANTT_COLUMNS:
+        raise SizeError(
+            f"Gantt chart needs {columns} columns at resolution {res}; "
+            f"the cap is {MAX_GANTT_COLUMNS}"
+        )
     width = len(str(n - 1)) if n else 1
     lines = []
     for e in range(n):

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: poset
 counting enumerates raw relation subsets and filters by the axioms, the
-expressible-set oracle searches all binary build trees, the tropical oracle
+expressible-set oracle searches all binary build trees, the zig-zag oracle
+tries every ordered quadruple of elements, the tropical oracle
 sums over explicitly enumerated chains, and the strategy oracle for the
 polynomial product enumerates choice functions directly.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from depcalc import FinitePoset, chains, enumerate_posets, from_pairs
 from depcalc.diagram import (
@@ -106,6 +107,50 @@ def buildable_posets(n: int) -> frozenset:
     return frozenset(
         from_pairs(n, rel) for rel in _buildable(tuple(range(n)))
     )
+
+
+def oracle_find_z(p: FinitePoset):
+    """The first 4-permutation of the elements whose induced relation is the zig-zag.
+
+    Permutations come in lexicographic order, so this is the least quadruple
+    (a, b, c, d) among the poset's related pairs with exactly a < b, c < b,
+    c < d; None when there is none.
+    """
+    rel = set(p.pairs())
+    for quad in permutations(range(p.size), 4):
+        a, b, c, d = quad
+        if (a, b) not in rel or (c, b) not in rel or (c, d) not in rel:
+            continue
+        if {(x, y) for x in quad for y in quad if (x, y) in rel} == {(a, b), (c, b), (c, d)}:
+            return quad
+    return None
+
+
+def random_sp_poset(rng: random.Random, n: int, planted: bool = False) -> FinitePoset:
+    """A series-parallel poset on n shuffled labels from a random binary build tree.
+
+    With ``planted`` (n >= 4), four of the labels form a zig-zag module
+    (z0 < z1, z2 < z1, z2 < z3) that the tree treats as one leaf.
+    """
+    labels = list(range(n))
+    rng.shuffle(labels)
+    blocks = [((x,), frozenset()) for x in labels]
+    if planted:
+        z = labels[:4]
+        blocks[:4] = [(tuple(z), frozenset({(z[0], z[1]), (z[2], z[1]), (z[2], z[3])}))]
+        rng.shuffle(blocks)
+
+    def build(parts):
+        if len(parts) == 1:
+            return parts[0]
+        k = rng.randint(1, len(parts) - 1)
+        (low, rel_low), (high, rel_high) = build(parts[:k]), build(parts[k:])
+        rel = rel_low | rel_high
+        if rng.random() < 0.5:
+            rel |= {(x, y) for x in low for y in high}
+        return low + high, rel
+
+    return from_pairs(n, build(blocks)[1])
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ from depcalc import from_pairs, parse_expression
 from depcalc.cli import main
 from depcalc.expression import MAX_NESTING
 from depcalc.poset import from_json_dict, to_json_dict
+from depcalc.tropical import MAX_GANTT_COLUMNS
 
 from conftest import alternating_nest
 
@@ -58,6 +59,14 @@ def test_decompose(write, capsys):
 def test_decompose_obstruction(write, capsys):
     code, out, _ = run(capsys, "decompose", "--poset", write("z.json", ZIGZAG_JSON))
     assert code == 1
+
+
+def test_decompose_long_chain_exits_zero(write, capsys):
+    n = 2000
+    chain_json = {"elements": n, "relations": [[i, i + 1] for i in range(n - 1)]}
+    code, out, err = run(capsys, "decompose", "--poset", write("c.json", chain_json))
+    assert code == 0 and err == ""
+    assert out.strip() == "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
 
 
 def test_eval_roundtrips_poset_json(capsys):
@@ -302,6 +311,23 @@ def test_tropical_gantt_resolution(write, capsys):
         "0.5",
     )
     assert code == 0 and "[##]" in out
+
+
+def test_tropical_gantt_past_the_column_cap_exits_two(write, capsys):
+    code, out, err = run(
+        capsys,
+        "tropical",
+        "--poset",
+        write("p.json", {"elements": 4, "relations": [[0, 1], [2, 3]]}),
+        "--runtimes",
+        "1,2,3,4",
+        "--gantt",
+        "--resolution",
+        "1e-7",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_GANTT_COLUMNS) in err
 
 
 def test_poly_verbose_table(write, capsys):

@@ -1,4 +1,7 @@
+import random
 from itertools import permutations
+
+import pytest
 
 from depcalc import (
     Obstruction,
@@ -16,7 +19,7 @@ from depcalc import (
     parse_expression,
 )
 
-from conftest import all_posets, buildable_posets
+from conftest import all_posets, buildable_posets, oracle_find_z, random_sp_poset
 
 EXPR_POSET = from_pairs(4, [(0, 1), (0, 2), (2, 3)])  # x0 below x1, x2; x2 below x3
 
@@ -31,6 +34,43 @@ def test_find_z_lexicographically_least():
     # two disjoint zig-zags; the witness must come from the lower labels
     double = from_pairs(8, [(0, 1), (2, 1), (2, 3), (4, 5), (6, 5), (6, 7)])
     assert find_z(double) == Obstruction((0, 1, 2, 3))
+
+
+def _oracle_witness(p):
+    quad = oracle_find_z(p)
+    return None if quad is None else Obstruction(quad)
+
+
+def test_find_z_is_the_oracles_least_witness():
+    for n in range(6):
+        for p in all_posets(n):
+            assert find_z(p) == _oracle_witness(p)
+
+
+def test_find_z_least_witness_on_seeded_posets():
+    rng = random.Random(20261018)
+    for n in range(4, 13):
+        for _ in range(12):
+            sp = random_sp_poset(rng, n)
+            assert find_z(sp) is None and oracle_find_z(sp) is None
+            planted = random_sp_poset(rng, n, planted=True)
+            witness = find_z(planted)
+            assert witness is not None and witness == _oracle_witness(planted)
+
+
+@pytest.mark.slow
+def test_find_z_is_the_oracles_least_witness_six():
+    for p in all_posets(6):
+        assert find_z(p) == _oracle_witness(p)
+
+
+def test_find_z_on_large_posets():
+    # Sizes where a four-nested-loop search takes close to a minute; the
+    # planted witness was checked against such a search.
+    assert find_z(chain(300)) is None
+    planted = random_sp_poset(random.Random(1), 200, planted=True)
+    assert find_z(planted) == Obstruction((33, 146, 79, 19))
+    assert induced(planted, (33, 146, 79, 19)) == ZIGZAG
 
 
 def test_obstruction_induces_exactly_the_pattern():
@@ -112,3 +152,9 @@ def test_decompose_obstruction_inside_larger_poset():
 def test_antichain_and_chain_decompositions():
     assert format_expression(decompose(antichain(3))) == "(ox x0 x1 x2)"
     assert format_expression(decompose(chain(3))) == "(tri x0 x1 x2)"
+
+
+def test_decompose_long_chain_peels_without_recursion():
+    n = 2000
+    expected = "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
+    assert format_expression(decompose(chain(n))) == expected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from depcalc import (
     ArityError,
+    SizeError,
     ZIGZAG,
     antichain,
     boxtimes,
@@ -20,7 +21,7 @@ from depcalc import (
     schedule,
 )
 from depcalc.expression import Otimes, Tri, Unit, Var
-from depcalc.tropical import as_runtime, render_gantt
+from depcalc.tropical import MAX_GANTT_COLUMNS, as_runtime, render_gantt
 
 from conftest import all_posets, buildable_posets, chain_sum_boxtimes, random_runtime
 
@@ -170,3 +171,11 @@ def test_gantt_render():
     assert lines[2].endswith("[####.]")
     half = render_gantt(plan, F("1/2"))
     assert half.splitlines()[0].endswith("[##........]")
+
+
+def test_gantt_column_cap():
+    plan = schedule(chain(1), [F(1)])
+    widest = render_gantt(plan, F(1, MAX_GANTT_COLUMNS))
+    assert widest == "0 [" + "#" * MAX_GANTT_COLUMNS + "]"
+    with pytest.raises(SizeError):
+        render_gantt(plan, F(1, MAX_GANTT_COLUMNS + 1))
