@@ -27,6 +27,7 @@ from .poset import (
     antichain,
     chain,
     disjoint_union,
+    empty,
     from_pairs,
     is_inclusion,
     join,
@@ -308,7 +309,7 @@ def path_decoration(
         for first, second in zip(path, path[1:]):
             if gens[first][1] != gens[second][0]:
                 raise InvalidPaths(f"{first!r} and {second!r} are not composable")
-    shape = FinitePoset(0, 0)
+    shape = empty()
     for path in paths:
         shape = disjoint_union(shape, chain(len(path)))
     values = [decoration.value(name) for path in paths for name in path]
@@ -461,19 +462,19 @@ def layout_dag(
         if len(in_wires[v]) != len(src) or len(out_wires[v]) != len(tgt):
             raise InvalidDiagram(f"node {v} ({name!r}) has unwired ports")
 
-    # Longest-path layering.
-    level: list[int | None] = [None] * n
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            producers = [wires[w][0] for w in in_wires[v].values()]
-            if all(level[u] is not None for u in producers):
-                lv = 1 + max((level[u] for u in producers), default=-1)
-                if level[v] != lv:
-                    level[v] = lv
-                    changed = True
-    if any(lv is None for lv in level):
+    # Longest-path layering, in one pass over a topological order (Kahn's
+    # algorithm): a node is placed once every producer feeding it is.
+    level = [0] * n
+    waiting = [len(in_wires[v]) for v in range(n)]
+    placed = [v for v in range(n) if not waiting[v]]
+    for u in placed:
+        for w in out_wires[u].values():
+            v = wires[w][2]
+            level[v] = max(level[v], level[u] + 1)
+            waiting[v] -= 1
+            if not waiting[v]:
+                placed.append(v)
+    if len(placed) < n:
         raise InvalidDiagram("wiring is cyclic")
     depth = 1 + max(level, default=-1) if n else 0
 

@@ -51,7 +51,7 @@ def find_z(p: FinitePoset) -> Obstruction | None:
     operation is n/64 words beyond that), and the scan stops at the first
     witness.
     """
-    rows = [p._row(i) for i in range(p.size)]
+    rows = p.rows
     near = comparability_graph(rows)
     for a, row_a in enumerate(rows):
         # b is in near[a], so "far from a" also rules out d == b.
@@ -76,8 +76,7 @@ def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
     Variable indices are the poset's element indices.  Failure is a return
     value, not an exception, so callers branch on the result.
     """
-    rows = [p._row(i) for i in range(p.size)]
-    result = normal_form(rows, comparability_graph(rows), (1 << p.size) - 1)
+    result = normal_form(p.rows, comparability_graph(p.rows), (1 << p.size) - 1)
     if isinstance(result, int):
         elems = _mask_elements(result)
         witness = find_z(induced(p, elems))

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from . import poset
 from .errors import MalformedExpression
-from .poset import FinitePoset
+from .poset import FinitePoset, _mask_elements
 
 
 @dataclass(frozen=True)
@@ -147,30 +146,35 @@ def is_normal(expr: Expression) -> bool:
 
 
 @lru_cache(maxsize=None)
-def evaluate_labeled(expr: Expression) -> tuple[frozenset[tuple[int, int]], tuple[int, ...]]:
+def evaluate_labeled(expr: Expression) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Interpret the term over its own variable labels.
 
-    Returns the strict relation as label pairs plus the sorted label tuple.
+    Returns ``(rows, labels)``: the sorted label tuple and, aligned with it,
+    the mask of labels strictly above each label (bit v stands for x<v>).
     Variables become singletons, ox disjoint union, tri join, unit the empty
     poset.
     """
     labels = variables(expr)
-    rel: set[tuple[int, int]] = set()
-    _eval_into(expr, rel)
-    return frozenset(rel), labels
+    up = dict.fromkeys(labels, 0)
+    _eval_into(expr, up)
+    return tuple(up[v] for v in labels), labels
 
 
-def _eval_into(expr: Expression, rel: set[tuple[int, int]]) -> tuple[int, ...]:
+def _eval_into(expr: Expression, up: dict[int, int]) -> int:
+    # Adds the term's relation to ``up`` and returns the mask of its labels;
+    # the labels are distinct, so the children's masks are disjoint.
     if isinstance(expr, Unit):
-        return ()
+        return 0
     if isinstance(expr, Var):
-        return (expr.index,)
-    blocks = [_eval_into(c, rel) for c in expr.children]
+        return 1 << expr.index
+    blocks = [_eval_into(c, up) for c in expr.children]
     if isinstance(expr, Tri):
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                rel.update((x, y) for x in blocks[a] for y in blocks[b])
-    return tuple(v for block in blocks for v in block)
+        later = 0
+        for block in reversed(blocks):
+            for v in _mask_elements(block):
+                up[v] |= later
+            later |= block
+    return sum(blocks)
 
 
 def evaluate(expr: Expression) -> FinitePoset:
@@ -180,10 +184,10 @@ def evaluate(expr: Expression) -> FinitePoset:
     """
     if not is_normal(expr):
         raise MalformedExpression("expression is not in canonical normal form")
-    rel, labels = evaluate_labeled(expr)
+    rows, labels = evaluate_labeled(expr)
     if labels != tuple(range(len(labels))):
         raise MalformedExpression(f"variables {labels} are not contiguous from 0")
-    return poset._pack(len(labels), rel)
+    return FinitePoset(len(labels), rows)
 
 
 # ---------------------------------------------------------------------------

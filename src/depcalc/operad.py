@@ -18,13 +18,15 @@ under the bound.
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Sequence
 
 from .errors import ArityError, PreconditionError, SizeMismatch
 from .expressible import is_expressible
 from .poset import (
     FinitePoset,
-    _pack,
+    _mask_elements,
+    chain,
     from_pairs,
     induced,
     is_inclusion,
@@ -49,7 +51,9 @@ def act(tau: Sequence[int], p: FinitePoset) -> FinitePoset:
     """Relabel p along the permutation tau (element i becomes tau[i])."""
     if len(tau) != p.size or sorted(tau) != list(range(p.size)):
         raise ArityError(f"not a permutation of {p.size} elements: {tau!r}")
-    return _pack(p.size, [(tau[i], tau[j]) for i, j in p.pairs()])
+    source = sorted(range(p.size), key=tau.__getitem__)  # the inverse of tau
+    rows = (sum(1 << tau[j] for j in _mask_elements(p.rows[i])) for i in source)
+    return FinitePoset(p.size, tuple(rows))
 
 
 def intersect(posets: Sequence[FinitePoset]) -> FinitePoset:
@@ -57,12 +61,12 @@ def intersect(posets: Sequence[FinitePoset]) -> FinitePoset:
     if not posets:
         raise SizeMismatch("intersect requires at least one poset")
     first = posets[0]
-    bits = first.bits
+    rows = first.rows
     for other in posets[1:]:
         if other.size != first.size:
             raise SizeMismatch(f"sizes differ: {first.size} vs {other.size}")
-        bits &= other.bits
-    return FinitePoset(first.size, bits)
+        rows = tuple(map(and_, rows, other.rows))
+    return FinitePoset(first.size, rows)
 
 
 def incomparability_witness(
@@ -125,26 +129,14 @@ def expressible_covers(p: FinitePoset) -> list[FinitePoset]:
     One linear extension of p, plus one incomparability witness per unordered
     incomparable pair, each built over a pair-adapted extension.
     """
-    covers: list[FinitePoset] = []
-    if p.size:
-        base = linear_extension(p)
-        chain_pairs = [
-            (base[a], base[b]) for a in range(p.size) for b in range(a + 1, p.size)
-        ]
-        covers.append(_pack(p.size, chain_pairs))
-    else:
-        covers.append(p)
+    covers = [act(linear_extension(p), chain(p.size))]
     for i in range(p.size):
         for j in range(i + 1, p.size):
             if p.comparable(i, j):
                 continue
             ext = _separating_extension(p, i, j)
             covers.append(incomparability_witness(p, ext, i, j))
-    unique: list[FinitePoset] = []
-    for cover in covers:
-        if cover not in unique:
-            unique.append(cover)
-    return unique
+    return list(dict.fromkeys(covers))  # first occurrences, in order
 
 
 def terminal_cover_factorization(

@@ -31,6 +31,11 @@ from .poset import FinitePoset, _is_json_int, is_linear_extension
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
 
+#: Most entries ``compose`` and ``interchanger`` build; past it both raise
+#: SizeError before enumerating anything.  ``compose(p, q)`` builds
+#: sum(|q| ** d * max(d, 1)) entries over p's direction counts d.
+MAX_COMPOSE_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class FinitePolynomial:
@@ -77,6 +82,7 @@ def compose(p: FinitePolynomial, q: FinitePolynomial) -> FinitePolynomial:
     positions, enumerated I-major with f in lexicographic order; the direction
     count at (I, f) is the sum of q's counts along f.
     """
+    _compose_size(p, q)
     counts = []
     nq = q.positions
     for dp in p.directions:
@@ -162,6 +168,26 @@ def comparitor(p: FinitePolynomial, q: FinitePolynomial) -> PolyMorphism:
     return PolyMorphism(source, target, tuple(position_map), tuple(direction_maps))
 
 
+def _compose_size(p: FinitePolynomial, q: FinitePolynomial) -> tuple[int, int]:
+    """(entries, directions) of ``compose(p, q)``; SizeError past ``MAX_COMPOSE_ENTRIES``.
+
+    For nq > 1, nq**dp passes the cap once dp passes the cap's bit length, so
+    such a power is never evaluated.
+    """
+    nq, q_total = q.positions, sum(q.directions)
+    entries = directions = 0
+    for dp in p.directions:
+        fits = nq < 2 or dp <= MAX_COMPOSE_ENTRIES.bit_length()
+        count = nq**dp if fits else MAX_COMPOSE_ENTRIES + 1
+        entries += count * max(dp, 1)
+        if entries > MAX_COMPOSE_ENTRIES:
+            raise SizeError(f"composite is guarded at {MAX_COMPOSE_ENTRIES} entries")
+        if dp:
+            # Over all count functions, each direction sees every q count equally often.
+            directions += dp * nq ** (dp - 1) * q_total
+    return entries, directions
+
+
 def _compose_positions(p: FinitePolynomial, q: FinitePolynomial) -> list[tuple[int, tuple[int, ...]]]:
     out = []
     for i_pos in range(p.positions):
@@ -180,6 +206,13 @@ def interchanger(
     (J(i), L(k)).  Directions pull back componentwise through the offset
     encodings of both sides.
     """
+    pq_entries, pq_directions = _compose_size(p, q)
+    rs_entries, rs_directions = _compose_size(r, s)
+    # Every pair of composite positions is visited along both functions, and
+    # its direction map has one entry per direction of the pair.
+    built = pq_entries * rs_entries + pq_directions * rs_directions
+    if built + p.positions * r.positions + q.positions * s.positions > MAX_COMPOSE_ENTRIES:
+        raise SizeError(f"interchanger is guarded at {MAX_COMPOSE_ENTRIES} entries")
     pq_positions = _compose_positions(p, q)
     rs_positions = _compose_positions(r, s)
     pq = compose(p, q)

@@ -1,11 +1,13 @@
 """Finite strict partial orders on the carrier {0..n-1}.
 
 Every poset in this package lives on an initial segment of the naturals and
-stores its strict relation transitively closed, packed row-major into a single
-int (bit i*n+j set means i < j).  Keeping the closure materialized makes
-inclusion testing, chain enumeration, and the substitution product cheap at
-the small sizes this calculus targets; antisymmetry reduces to the absence of
-mutually related pairs and irreflexivity to an empty diagonal.
+stores its strict relation transitively closed, as one up-set mask per
+element (bit j of ``rows[i]`` set means i < j).  Keeping the closure
+materialized makes inclusion testing, chain enumeration, and the substitution
+product cheap; antisymmetry reduces to the absence of mutually related pairs
+and irreflexivity to no element in its own row.  Masks of the elements below
+each element come from one transpose, :func:`comparability_graph`, where an
+algorithm needs them.
 
 The three building operations fix a canonical block numbering (first argument
 first, blocks contiguous), so disjoint union and join are strictly associative
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import ArityError, CycleError, SizeError
@@ -27,64 +30,55 @@ ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the mill
 class FinitePoset:
     """A strict partial order, transitively closed, on elements 0..size-1.
 
-    ``bits`` is internal; build values through :func:`from_pairs` or the
-    constructors below, which guarantee closure.
+    ``rows[i]`` is the mask of the elements strictly above i.  Build values
+    through :func:`from_pairs` or the constructors below, which guarantee
+    closure; the constructor itself checks only the shape of ``rows``.
     """
 
     size: int
-    bits: int = 0
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("size must be nonnegative")
-        if self.bits >> (self.size * self.size):
-            raise ValueError("relation bits out of range for size")
+        if len(self.rows) != self.size:
+            raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
+        if any(row < 0 or row >> self.size for row in self.rows):
+            raise ValueError("relation rows out of range for size")
 
     def lt(self, i: int, j: int) -> bool:
         """True iff i < j in this poset."""
-        return bool(self.bits >> (i * self.size + j) & 1)
+        return bool(self.rows[i] >> j & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs (i, j) with i < j, in lexicographic order."""
-        n = self.size
-        return [(i, j) for i in range(n) for j in range(n) if self.bits >> (i * n + j) & 1]
+        return [(i, j) for i, row in enumerate(self.rows) for j in _mask_elements(row)]
 
     def above(self, i: int) -> tuple[int, ...]:
         """Elements strictly above i."""
-        return _mask_elements(self._row(i))
+        return _mask_elements(self.rows[i])
 
     def below(self, i: int) -> tuple[int, ...]:
         """Elements strictly below i."""
-        return _mask_elements(self._col(i))
+        return tuple(k for k, row in enumerate(self.rows) if row >> i & 1)
 
     def comparable(self, i: int, j: int) -> bool:
         return self.lt(i, j) or self.lt(j, i)
 
-    def _row(self, i: int) -> int:
-        n = self.size
-        return self.bits >> (i * n) & ((1 << n) - 1)
-
-    def _col(self, j: int) -> int:
-        n = self.size
-        col = 0
-        for i in range(n):
-            col |= (self.bits >> (i * n + j) & 1) << i
-        return col
-
     def check_valid(self) -> None:
         """Raise if any poset axiom or the closure invariant fails."""
-        n = self.size
-        for i in range(n):
-            if self.lt(i, i):
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row >> i & 1:
                 raise ValueError(f"irreflexivity violated at {i}")
-        for i in range(n):
-            for j in range(n):
-                if self.lt(i, j) and self.lt(j, i):
+        for i, row in enumerate(rows):
+            for j in _mask_elements(row):
+                if rows[j] >> i & 1:
                     raise ValueError(f"antisymmetry violated at ({i}, {j})")
-                if self.lt(i, j):
-                    for k in range(n):
-                        if self.lt(j, k) and not self.lt(i, k):
-                            raise ValueError(f"not transitively closed at ({i}, {j}, {k})")
+                missing = rows[j] & ~row
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise ValueError(f"not transitively closed at ({i}, {j}, {k})")
 
     def __repr__(self):
         return f"FinitePoset({self.size}, {self.pairs()!r})"
@@ -97,14 +91,6 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _pack(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
-    # Fast path for relations already known to be transitively closed.
-    bits = 0
-    for i, j in pairs:
-        bits |= 1 << (i * size + j)
-    return FinitePoset(size, bits)
 
 
 def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
@@ -125,52 +111,39 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
         for i in range(size):
             if rows[i] >> k & 1:
                 rows[i] |= rk
-    for i in range(size):
-        for j in range(size):
-            if rows[i] >> j & 1 and rows[j] >> i & 1:
-                raise CycleError((i, j))
-    return _from_rows(size, rows)
-
-
-def _from_rows(size: int, rows: Iterable[int]) -> FinitePoset:
-    # Packs closed up-set masks, one per element, row-major.
-    bits = 0
+    # Closed, a mutually related pair puts each of its elements in its own row.
     for i, row in enumerate(rows):
-        bits |= row << (i * size)
-    return FinitePoset(size, bits)
+        if row >> i & 1:
+            raise CycleError((i, i))
+    return FinitePoset(size, tuple(rows))
 
 
 def empty() -> FinitePoset:
-    return FinitePoset(0, 0)
+    return FinitePoset(0, ())
 
 
 def singleton() -> FinitePoset:
-    return FinitePoset(1, 0)
+    return FinitePoset(1, (0,))
 
 
 def chain(n: int) -> FinitePoset:
     """The linear order 0 < 1 < ... < n-1."""
     full = (1 << n) - 1
-    return _from_rows(n, (full ^ ((2 << i) - 1) for i in range(n)))
+    return FinitePoset(n, tuple(full ^ ((2 << i) - 1) for i in range(n)))
 
 
 def antichain(n: int) -> FinitePoset:
-    return FinitePoset(n, 0)
+    return FinitePoset(n, (0,) * n)
 
 
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Side-by-side placement: q's elements are shifted up by |p|, no cross pairs."""
-    np_ = p.size
-    pairs = p.pairs() + [(i + np_, j + np_) for i, j in q.pairs()]
-    return _pack(np_ + q.size, pairs)
+    return substitute(antichain(2), [p, q])
 
 
 def join(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Disjoint union plus every relation from a p-element to a q-element."""
-    np_, nq = p.size, q.size
-    pairs = p.pairs() + [(i + np_, j + np_) for i, j in q.pairs()]
-    pairs += [(i, j + np_) for i in range(np_) for j in range(nq)]
-    return _pack(np_ + nq, pairs)
+    return substitute(chain(2), [p, q])
 
 
 def substitute(p: FinitePoset, parts: list[FinitePoset]) -> FinitePoset:
@@ -185,22 +158,17 @@ def substitute(p: FinitePoset, parts: list[FinitePoset]) -> FinitePoset:
     offsets = [0] * (p.size + 1)
     for a, part in enumerate(parts):
         offsets[a + 1] = offsets[a] + part.size
-    pairs: list[tuple[int, int]] = []
+    blocks = [((1 << part.size) - 1) << offsets[a] for a, part in enumerate(parts)]
+    rows = []
     for a, part in enumerate(parts):
-        base = offsets[a]
-        pairs += [(base + i, base + j) for i, j in part.pairs()]
-    for a, b in p.pairs():
-        pairs += [
-            (x, y)
-            for x in range(offsets[a], offsets[a + 1])
-            for y in range(offsets[b], offsets[b + 1])
-        ]
-    return _pack(offsets[-1], pairs)
+        later = sum(blocks[b] for b in _mask_elements(p.rows[a]))  # disjoint blocks
+        rows += [row << offsets[a] | later for row in part.rows]
+    return FinitePoset(offsets[-1], tuple(rows))
 
 
 def is_inclusion(p: FinitePoset, q: FinitePoset) -> bool:
     """True iff the identity on elements is monotone from p to q."""
-    return p.size == q.size and p.bits & ~q.bits == 0
+    return p.size == q.size and p.rows == tuple(map(and_, p.rows, q.rows))
 
 
 def induced(p: FinitePoset, elements: Iterable[int]) -> FinitePoset:
@@ -209,8 +177,9 @@ def induced(p: FinitePoset, elements: Iterable[int]) -> FinitePoset:
     index = {e: k for k, e in enumerate(elems)}
     if len(index) != len(elems):
         raise ValueError("duplicate elements")
-    pairs = [(index[i], index[j]) for i, j in p.pairs() if i in index and j in index]
-    return _pack(len(elems), pairs)
+    chosen = sum(1 << e for e in elems)
+    rows = (sum(1 << index[j] for j in _mask_elements(p.rows[e] & chosen)) for e in elems)
+    return FinitePoset(len(elems), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -259,7 +228,7 @@ def full_embeddings(pattern: FinitePoset, target: FinitePoset) -> list[Embedding
 def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
     """Every total order containing p, as element sequences bottom to top."""
     n = p.size
-    preds = [p._col(i) for i in range(n)]
+    preds = [near & ~row for near, row in zip(comparability_graph(p.rows), p.rows)]
     out: list[tuple[int, ...]] = []
     order: list[int] = []
 
@@ -288,13 +257,14 @@ def linear_extension(p: FinitePoset) -> tuple[int, ...]:
     Kahn's algorithm, always placing the least element whose predecessors
     are all placed.
     """
-    waiting = [p._col(e).bit_count() for e in range(p.size)]
+    rows = p.rows
+    waiting = [(near & ~row).bit_count() for near, row in zip(comparability_graph(rows), rows)]
     ready = [e for e, count in enumerate(waiting) if count == 0]
     order = []
     while ready:
         e = heapq.heappop(ready)
         order.append(e)
-        for up in _mask_elements(p._row(e)):
+        for up in _mask_elements(rows[e]):
             waiting[up] -= 1
             if waiting[up] == 0:
                 heapq.heappush(ready, up)
@@ -327,8 +297,8 @@ def chains(p: FinitePoset) -> list[tuple[int, ...]]:
 
 def connected_components(p: FinitePoset) -> list[tuple[int, ...]]:
     """Components of the undirected comparability graph, sorted by least element."""
-    rows = [p._row(i) for i in range(p.size)]
-    return [_mask_elements(c) for c in components(comparability_graph(rows), (1 << p.size) - 1)]
+    comps = components(comparability_graph(p.rows), (1 << p.size) - 1)
+    return [_mask_elements(c) for c in comps]
 
 
 def comparability_graph(rows) -> list[int]:
@@ -360,11 +330,14 @@ def components(neighbors, mask: int) -> list[int]:
 
 def transitive_reduction(p: FinitePoset) -> list[tuple[int, int]]:
     """The cover pairs: the minimal pair set whose closure is the relation."""
-    n = p.size
+    rows = p.rows
     covers = []
-    for i, j in p.pairs():
-        if not any(p.lt(i, k) and p.lt(k, j) for k in range(n)):
-            covers.append((i, j))
+    for i, row in enumerate(rows):
+        # Aho, Garey & Ullman (1972): j covers i unless some k above i is below j.
+        through = 0
+        for k in _mask_elements(row):
+            through |= rows[k]
+        covers += [(i, j) for j in _mask_elements(row & ~through)]
     return covers
 
 
@@ -388,12 +361,13 @@ def _enumerate(n: int) -> Iterator[FinitePoset]:
     k = n - 1
     full = (1 << k) - 1
     for base in _enumerate(k):
-        rows = [base._row(i) for i in range(k)]
-        cols = [base._col(i) for i in range(k)]
+        rows = base.rows
+        cols = [near & ~row for near, row in zip(comparability_graph(rows), rows)]
         down_closed = [
             d for d in range(full + 1) if all(cols[x] & ~d == 0 for x in _mask_elements(d))
         ]
         for d in down_closed:
+            grown = tuple(row | (d >> x & 1) << k for x, row in enumerate(rows))
             allowed = full & ~d
             for x in _mask_elements(d):
                 allowed &= rows[x]
@@ -401,10 +375,7 @@ def _enumerate(n: int) -> Iterator[FinitePoset]:
             u = 0
             while True:
                 if all(rows[x] & ~u == 0 for x in _mask_elements(u)):
-                    pairs = base.pairs()
-                    pairs += [(x, k) for x in _mask_elements(d)]
-                    pairs += [(k, x) for x in _mask_elements(u)]
-                    yield _pack(n, pairs)
+                    yield FinitePoset(n, grown + (u,))
                 if u == allowed:
                     break
                 u = (u - allowed) & allowed

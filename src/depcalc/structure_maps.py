@@ -18,14 +18,16 @@ The recursion runs on the row masks of the two posets and reuses the splits
 of ``decompose``: ``components`` for the target's layers, ``top_split`` for
 the source's, and ``normal_form`` for the expression at each Equiv leaf.
 ``verify_proof`` deliberately does not: it re-evaluates every node's
-endpoints with ``evaluate_labeled``, so a fault in those shared splits cannot
-make a wrong derivation check out.
+endpoints with ``evaluate_labeled``, a fold over the term that returns one
+up-set mask per variable, and tests inclusion row by row, so a fault in those
+shared splits cannot make a wrong derivation check out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
@@ -207,8 +209,7 @@ def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
         witness = find_z(side)
         if witness is not None:
             raise NotExpressible(witness)
-    rows_p, rows_q = (tuple(side._row(i) for i in range(side.size)) for side in (p, q))
-    proof = _derive((1 << p.size) - 1, rows_p, rows_q)
+    proof = _derive((1 << p.size) - 1, p.rows, q.rows)
     return _simplify(proof)
 
 
@@ -222,12 +223,12 @@ def verify_proof(p: Proof) -> bool:
 
 @lru_cache(maxsize=None)
 def _verify(p: Proof) -> bool:
-    rel_s, labels_s = evaluate_labeled(proof_source(p))
-    rel_t, labels_t = evaluate_labeled(proof_target(p))
-    if labels_s != labels_t or not rel_s <= rel_t:
+    rows_s, labels_s = evaluate_labeled(proof_source(p))
+    rows_t, labels_t = evaluate_labeled(proof_target(p))
+    if labels_s != labels_t or rows_s != tuple(map(and_, rows_s, rows_t)):
         return False
     if isinstance(p, Equiv):
-        return rel_s == rel_t
+        return rows_s == rows_t
     if isinstance(p, Compose):
         return (
             proof_target(p.left) == proof_source(p.right)

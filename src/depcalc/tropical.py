@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityError, SizeError
-from .poset import FinitePoset, linear_extension
+from .poset import FinitePoset, _mask_elements, comparability_graph, linear_extension
 
 Runtime = Fraction
 
@@ -43,23 +43,20 @@ def boxtimes(p: FinitePoset, runtimes: Sequence[Runtime]) -> Runtime:
     """
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
-    if p.size == 0:
-        return Fraction(0)
     values = [as_runtime(r) for r in runtimes]
-    best = _best_ending_at(p, values)
-    return max(best)
+    return max(_finish_times(p, values, linear_extension(p)), default=Fraction(0))
 
 
-def _best_ending_at(p: FinitePoset, values: list[Runtime]) -> list[Runtime]:
-    # Longest chain-sum ending at each element; closure makes "all
-    # predecessors" and "immediate predecessors" give the same maximum.
-    n = p.size
-    best: list[Runtime | None] = [None] * n
-    for e in linear_extension(p):
-        preds = p.below(e)
-        incoming = max((best[q] for q in preds), default=Fraction(0))
-        best[e] = incoming + values[e]
-    return best  # type: ignore[return-value]
+def _finish_times(p: FinitePoset, values: list[Runtime], order) -> list[Runtime]:
+    # Earliest finish of each element: the longest chain-sum ending there
+    # (closure lets every predecessor stand in for the immediate ones).
+    rows = p.rows
+    below = [near & ~row for near, row in zip(comparability_graph(rows), rows)]
+    finish = [Fraction(0)] * p.size
+    for e in order:
+        start = max((finish[q] for q in _mask_elements(below[e])), default=Fraction(0))
+        finish[e] = start + values[e]
+    return finish
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,9 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
     n = p.size
     if n == 0:
         return Schedule((), (), Fraction(0), ())
-    start: list[Runtime] = [Fraction(0)] * n
-    finish: list[Runtime] = [Fraction(0)] * n
     order = linear_extension(p)
-    for e in order:
-        start[e] = max((finish[q] for q in p.below(e)), default=Fraction(0))
-        finish[e] = start[e] + values[e]
+    finish = _finish_times(p, values, order)
+    start = [f - v for f, v in zip(finish, values)]
     makespan = max(finish)
 
     best_from: list[Runtime | None] = [None] * n

@@ -2,6 +2,7 @@
 
 The oracles here deliberately avoid the library's own algorithms: poset
 counting enumerates raw relation subsets and filters by the axioms, the
+pair-set oracle restates each poset operation on explicit sets of pairs, the
 expressible-set oracle searches all binary build trees, the zig-zag oracle
 tries every ordered quadruple of elements, the tropical oracle
 sums over explicitly enumerated chains, and the strategy oracle for the
@@ -15,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from depcalc import FinitePoset, chains, enumerate_posets, from_pairs
+from depcalc import FinitePoset, chains, empty, enumerate_posets, from_pairs
+from depcalc.expression import Tri, Unit, Var
 from depcalc.diagram import (
     GenCell,
     IdCell,
@@ -73,6 +75,76 @@ def _is_transitive(rel: set) -> bool:
     return all((i, k) in rel for i, j in rel for j2, k in rel if j == j2)
 
 
+# ---------------------------------------------------------------------------
+# Pair-set oracle: every operation restated on explicit sets of pairs, read
+# from nothing but ``size`` and ``pairs()``
+
+def packed(p: FinitePoset) -> int:
+    """The relation as one int with bit i*n+j set for i < j; a stable sort key."""
+    return sum(1 << (i * p.size + j) for i, j in p.pairs())
+
+
+def relation(p: FinitePoset) -> tuple[int, frozenset]:
+    """(size, pair set): the shape every pair-set oracle returns."""
+    return p.size, frozenset(p.pairs())
+
+
+def oracle_union(p: FinitePoset, q: FinitePoset) -> tuple[int, frozenset]:
+    n = p.size
+    return n + q.size, frozenset(p.pairs()) | {(i + n, j + n) for i, j in q.pairs()}
+
+
+def oracle_join(p: FinitePoset, q: FinitePoset) -> tuple[int, frozenset]:
+    size, rel = oracle_union(p, q)
+    return size, rel | {(i, j) for i in range(p.size) for j in range(p.size, size)}
+
+
+def oracle_substitute(p: FinitePoset, parts) -> tuple[int, frozenset]:
+    starts = [sum(part.size for part in parts[:a]) for a in range(len(parts) + 1)]
+    rel = set()
+    for a, part in enumerate(parts):
+        rel |= {(starts[a] + i, starts[a] + j) for i, j in part.pairs()}
+    for a, b in p.pairs():
+        rel |= {(x, y) for x in range(starts[a], starts[a + 1]) for y in range(starts[b], starts[b + 1])}
+    return starts[-1], frozenset(rel)
+
+
+def oracle_induced(p: FinitePoset, elements) -> tuple[int, frozenset]:
+    at = {e: k for k, e in enumerate(elements)}
+    return len(at), frozenset((at[i], at[j]) for i, j in p.pairs() if i in at and j in at)
+
+
+def oracle_act(tau, p: FinitePoset) -> tuple[int, frozenset]:
+    return p.size, frozenset((tau[i], tau[j]) for i, j in p.pairs())
+
+
+def oracle_intersect(posets) -> tuple[int, frozenset]:
+    return posets[0].size, frozenset.intersection(*(frozenset(q.pairs()) for q in posets))
+
+
+def oracle_covers(p: FinitePoset) -> list[tuple[int, int]]:
+    rel = set(p.pairs())
+    return sorted(
+        (i, j) for i, j in rel if not any((i, k) in rel and (k, j) in rel for k in range(p.size))
+    )
+
+
+def oracle_evaluate(expr) -> tuple[tuple[int, ...], frozenset]:
+    """(variables left to right, pair set over them) of a term: ox places its
+    children side by side, tri puts every earlier child below every later one."""
+    if isinstance(expr, Unit):
+        return (), frozenset()
+    if isinstance(expr, Var):
+        return (expr.index,), frozenset()
+    blocks = [oracle_evaluate(child) for child in expr.children]
+    rel = set().union(*(block_rel for _, block_rel in blocks))
+    if isinstance(expr, Tri):
+        for a, (low, _) in enumerate(blocks):
+            for high, _ in blocks[a + 1 :]:
+                rel |= {(x, y) for x in low for y in high}
+    return tuple(v for block, _ in blocks for v in block), frozenset(rel)
+
+
 @lru_cache(maxsize=None)
 def _buildable(labels: tuple) -> frozenset:
     """All relation sets reachable from singletons on `labels` by binary
@@ -103,7 +175,7 @@ def _buildable(labels: tuple) -> frozenset:
 def buildable_posets(n: int) -> frozenset:
     """Every expressible poset on {0..n-1}, found by brute-force build search."""
     if n == 0:
-        return frozenset({FinitePoset(0, 0)})
+        return frozenset({empty()})
     return frozenset(
         from_pairs(n, rel) for rel in _buildable(tuple(range(n)))
     )

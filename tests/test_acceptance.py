@@ -53,6 +53,7 @@ from conftest import (
     chain_sum_boxtimes,
     diagram_polygraph,
     oracle_count_posets,
+    packed,
     random_diagram,
     random_runtime,
 )
@@ -109,7 +110,7 @@ def test_criterion_2_decompose_roundtrip():
 def test_criterion_3_structure_map_correspondence():
     checked = derived = 0
     for n in range(6):
-        expressible = sorted(buildable_posets(n), key=lambda p: p.bits)
+        expressible = sorted(buildable_posets(n), key=packed)
         for p in expressible:
             for q in expressible:
                 included = is_inclusion(p, q)

@@ -5,6 +5,7 @@ import pytest
 from depcalc import from_pairs, parse_expression
 from depcalc.cli import main
 from depcalc.expression import MAX_NESTING
+from depcalc.polynomial import MAX_COMPOSE_ENTRIES
 from depcalc.poset import from_json_dict, to_json_dict
 from depcalc.tropical import MAX_GANTT_COLUMNS
 
@@ -328,6 +329,15 @@ def test_tropical_gantt_past_the_column_cap_exits_two(write, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(MAX_GANTT_COLUMNS) in err
+
+
+def test_poly_tri_past_the_compose_cap_exits_two(write, capsys):
+    left = write("l.json", {"positions": [12]})
+    right = write("r.json", {"positions": [1] * 10})
+    code, out, err = run(capsys, "poly", "tri", "--left", left, "--right", right)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_COMPOSE_ENTRIES) in err
 
 
 def test_poly_verbose_table(write, capsys):

@@ -383,6 +383,8 @@ def test_layout_dag_errors():
     pg = total_polygraph({"a": (["w"], ["w"])})
     with pytest.raises(InvalidDiagram):
         layout_dag(pg, ["a"], [(0, 0, 0, 0)])  # self-loop
+    with pytest.raises(InvalidDiagram, match="wiring is cyclic"):
+        layout_dag(pg, ["a", "a"], [(0, 0, 1, 0), (1, 0, 0, 0)])  # two-node cycle
     with pytest.raises(InvalidDiagram):
         layout_dag(pg, ["a", "a"], [(0, 0, 1, 0)])  # node 1 output unwired... node 0 input unwired
     # u and v may both sit next to m but not next to each other, so the

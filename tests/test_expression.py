@@ -9,6 +9,7 @@ from depcalc import (
     UNIT,
     Var,
     chain,
+    decompose,
     empty,
     evaluate,
     format_expression,
@@ -18,9 +19,33 @@ from depcalc import (
     parse_expression,
     tri,
 )
-from depcalc.expression import MAX_NESTING
+from depcalc.expression import MAX_NESTING, evaluate_labeled
 
-from conftest import alternating_nest
+from conftest import all_posets, alternating_nest, oracle_evaluate, relation
+
+
+def _relabel(expr, label):
+    if isinstance(expr, Var):
+        return Var(label(expr.index))
+    if isinstance(expr, (Otimes, Tri)):
+        return type(expr)(tuple(_relabel(child, label) for child in expr.children))
+    return expr
+
+
+def test_evaluate_matches_the_pair_set_oracle():
+    # Every normal form with at most three variables, on 0..n-1 and spread
+    # out to odd labels, where evaluate_labeled's rows are label masks.
+    for n in range(4):
+        for p in all_posets(n):
+            expr = decompose(p)
+            order, rel = oracle_evaluate(expr)
+            assert sorted(order) == list(range(n))
+            assert relation(evaluate(expr)) == (n, rel)
+            spread = _relabel(expr, lambda v: 2 * v + 1)
+            order, rel = oracle_evaluate(spread)
+            rows, labels = evaluate_labeled(spread)
+            assert labels == tuple(sorted(order))
+            assert rows == tuple(sum(1 << j for i, j in rel if i == v) for v in labels)
 
 
 def test_constructors_normalize():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -28,10 +29,21 @@ from depcalc import (
     unit,
 )
 
-from conftest import all_posets, buildable_posets
+from conftest import all_posets, buildable_posets, oracle_act, oracle_intersect, relation
+
+SMALL = [p for n in range(4) for p in all_posets(n)]  # every poset with n <= 3
 
 
 # --- operad structure -------------------------------------------------------
+
+def test_act_and_intersect_match_the_pair_set_oracle():
+    for p in SMALL:
+        for tau in permutations(range(p.size)):
+            assert relation(act(tau, p)) == oracle_act(tau, p)
+        for q in all_posets(p.size):
+            assert relation(intersect([p, q])) == oracle_intersect([p, q])
+        assert relation(intersect([p])) == oracle_intersect([p])
+
 
 def test_mu_is_substitution():
     a, b = ZIGZAG, chain(2)

@@ -25,8 +25,10 @@ from depcalc import (
     signature,
 )
 from depcalc.expression import Otimes, Unit, Var
+from depcalc import polynomial
 from depcalc.polynomial import (
     IDENTITY,
+    MAX_COMPOSE_ENTRIES,
     PolyMorphism,
     compose_morphisms,
     format_polynomial,
@@ -234,6 +236,38 @@ def test_interchanger_unit_specialization_is_comparitor():
     for p in TINY:
         for s in TINY:
             assert interchanger(p, Y, Y, s) == comparitor(p, s)
+
+
+def test_compose_guard_counts_entries(monkeypatch):
+    # compose(poly(2, 0), poly(1, 1, 1)) enumerates 3**2 functions of length 2
+    # plus one empty function: 19 entries.
+    p, q = poly(2, 0), poly(1, 1, 1)
+    monkeypatch.setattr(polynomial, "MAX_COMPOSE_ENTRIES", 19)
+    assert compose(p, q).directions == (2,) * 9 + (0,)
+    monkeypatch.setattr(polynomial, "MAX_COMPOSE_ENTRIES", 18)
+    with pytest.raises(SizeError):
+        compose(p, q)
+
+
+def test_compose_guard_raises_before_enumerating():
+    with pytest.raises(SizeError):
+        compose(poly(12), poly(*[1] * 10))  # 10**12 positions
+    with pytest.raises(SizeError):
+        compose(poly(10**9), poly(1, 1))  # 2**(10**9) is never evaluated
+    with pytest.raises(SizeError):
+        compose(poly(10**9), poly(7))  # one function, but of length 10**9
+    with pytest.raises(SizeError):
+        compose(poly(*[0] * (MAX_COMPOSE_ENTRIES + 1)), poly(1))
+    assert compose(poly(20), poly(7)).directions == (140,)
+
+
+def test_interchanger_guard():
+    # One position each, but 3,000 x 3,000 directions to pull back.
+    with pytest.raises(SizeError):
+        interchanger(poly(1), poly(3000), poly(1), poly(3000))
+    with pytest.raises(SizeError):
+        interchanger(poly(12), poly(*[1] * 10), Y, Y)
+    assert is_valid_morphism(interchanger(poly(1), poly(30), poly(1), poly(30)))
 
 
 # --- the poset-indexed product ----------------------------------------------------

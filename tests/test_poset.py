@@ -1,4 +1,5 @@
 import json
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from depcalc import (
     CycleError,
     Embedding,
+    FinitePoset,
     SizeError,
     ZIGZAG,
     act,
@@ -30,12 +32,21 @@ from depcalc import (
 )
 from depcalc.poset import from_json_dict, is_linear_extension, to_dot, to_json_dict
 
-from conftest import all_posets, oracle_count_posets
+from conftest import (
+    all_posets,
+    oracle_count_posets,
+    oracle_covers,
+    oracle_induced,
+    oracle_join,
+    oracle_substitute,
+    oracle_union,
+    relation,
+)
+
+SMALL = [p for n in range(4) for p in all_posets(n)]  # every poset with n <= 3
 
 
 def itertools_permutations(n):
-    from itertools import permutations
-
     return permutations(range(n))
 
 
@@ -69,6 +80,24 @@ def test_closure_computed():
     p = from_pairs(3, [(0, 1), (1, 2)])
     assert p == chain(3)
     assert p.lt(0, 2)
+
+
+def test_constructor_rejects_badly_shaped_rows():
+    for size, rows in ((2, (0,)), (1, (0, 0)), (2, (4, 0)), (2, (0, -1)), (-1, ())):
+        with pytest.raises(ValueError):
+            FinitePoset(size, rows)
+
+
+def test_check_valid_names_the_failing_axiom():
+    cases = [
+        (FinitePoset(1, (1,)), "irreflexivity violated at 0"),
+        (FinitePoset(2, (2, 1)), "antisymmetry violated at (0, 1)"),
+        (FinitePoset(3, (2, 4, 0)), "not transitively closed at (0, 1, 2)"),
+    ]
+    for p, message in cases:
+        with pytest.raises(ValueError) as err:
+            p.check_valid()
+        assert str(err.value) == message
 
 
 def test_closure_idempotent_on_all_small_posets():
@@ -134,6 +163,17 @@ def test_interchange_inclusion_with_explicit_permutation():
     assert is_inclusion(act(perm, lhs), rhs)
 
 
+def test_union_and_join_match_the_pair_set_oracle():
+    for p in SMALL:
+        for q in SMALL:
+            assert relation(disjoint_union(p, q)) == oracle_union(p, q)
+            assert relation(join(p, q)) == oracle_join(p, q)
+
+
+def test_large_join_builds_rows_directly():
+    assert join(chain(1000), chain(1000)) == chain(2000)
+
+
 # --- substitution ------------------------------------------------------------
 
 def test_substitute_specializations():
@@ -141,6 +181,14 @@ def test_substitute_specializations():
     assert substitute(antichain(2), [a, b]) == disjoint_union(a, b)
     assert substitute(chain(2), [a, b]) == join(a, b)
     assert substitute(ZIGZAG, [singleton()] * 4) == ZIGZAG
+
+
+def test_substitute_matches_the_pair_set_oracle():
+    # Every outer poset with n <= 3, every choice of parts with n <= 2.
+    parts_pool = [p for n in range(3) for p in all_posets(n)]
+    for p in SMALL:
+        for parts in product(parts_pool, repeat=p.size):
+            assert relation(substitute(p, list(parts))) == oracle_substitute(p, parts)
 
 
 def test_substitute_arity():
@@ -253,6 +301,22 @@ def test_transitive_reduction():
         assert from_pairs(4, transitive_reduction(q)) == q
 
 
+def test_transitive_reduction_matches_the_pair_set_oracle():
+    for p in SMALL:
+        assert transitive_reduction(p) == oracle_covers(p)
+
+
+def test_large_transitive_reduction():
+    assert len(transitive_reduction(chain(1000))) == 999
+
+
+def test_above_and_below_match_the_pairs():
+    for p in SMALL:
+        for e in range(p.size):
+            assert p.above(e) == tuple(j for i, j in p.pairs() if i == e)
+            assert p.below(e) == tuple(sorted(i for i, j in p.pairs() if j == e))
+
+
 # --- enumeration ---------------------------------------------------------------
 
 def test_enumerate_counts_against_subset_oracle():
@@ -283,6 +347,13 @@ def test_induced():
     assert induced(ZIGZAG, [0, 1]) == chain(2)
     assert induced(ZIGZAG, [0, 3]) == antichain(2)
     assert induced(ZIGZAG, [2, 1, 3]) == from_pairs(3, [(0, 1), (0, 2)])
+
+
+def test_induced_matches_the_pair_set_oracle():
+    for p in SMALL:
+        for k in range(p.size + 1):
+            for elements in permutations(range(p.size), k):
+                assert relation(induced(p, elements)) == oracle_induced(p, elements)
 
 
 # --- serialization ----------------------------------------------------------------

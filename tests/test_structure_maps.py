@@ -7,7 +7,6 @@ import pytest
 from depcalc import (
     Compose,
     Equiv,
-    FinitePoset,
     InterchangerSubst,
     NotExpressible,
     NotInclusion,
@@ -27,7 +26,7 @@ from depcalc import (
 )
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
-from conftest import buildable_posets
+from conftest import buildable_posets, packed
 
 INTER_DOMAIN = evaluate(parse_expression("(ox (tri x0 x1) (tri x2 x3))"))
 INTER_CODOMAIN = evaluate(parse_expression("(tri (ox x0 x2) (ox x1 x3))"))
@@ -117,7 +116,7 @@ def test_completeness_small():
     # For every expressible pair on up to four elements, derivation succeeds
     # exactly on inclusions and every derived proof checks out.
     for n in range(5):
-        expressible = sorted(buildable_posets(n), key=lambda p: p.bits)
+        expressible = sorted(buildable_posets(n), key=packed)
         for p in expressible:
             for q in expressible:
                 included = is_inclusion(p, q)
@@ -175,7 +174,7 @@ def _golden_corpus():
         for k in range(300):
             q = _random_expressible(rng, n)
             other = _random_expressible(rng, n)
-            p = FinitePoset(n, q.bits & other.bits) if k % 2 else other
+            p = from_pairs(n, set(q.pairs()) & set(other.pairs())) if k % 2 else other
             yield p, q
 
 
