@@ -93,35 +93,41 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, int]:
     components nor at its top, that part's mask is returned instead: it
     holds a zig-zag.
 
-    Join factors are peeled off the top in a loop, lowest part first, so a
-    chain costs no recursion depth; only alternations of ox and tri recurse.
+    The parts are expanded depth first from an explicit stack, so neither
+    long chains nor deep alternations of ox and tri cost recursion depth.
+    Each mask peels its join factors off the top, then expands its bottom
+    (a variable or the components), then its factors from the lowest up.
     """
-    uppers = []
-    while mask & (mask - 1):
-        parts = components(neighbors, mask)
+    done: list[Expression] = []  # finished sub-expressions, in expansion order
+    todo: list = [mask]  # masks to expand and (constructor, arity) to combine
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, int):
+            make, arity = item
+            args = done[-arity:]
+            del done[-arity:]
+            done.append(make(*args))
+            continue
+        uppers = []
+        parts = ()
+        while item & (item - 1):
+            parts = components(neighbors, item)
+            if len(parts) > 1:
+                break
+            split = top_split(rows, item)
+            if split is None:
+                return item
+            item, upper = split
+            uppers.append(upper)
+        if uppers:
+            todo.append((tri, len(uppers) + 1))
+            todo.extend(uppers)  # the lowest factor is last, so it pops first
         if len(parts) > 1:
-            exprs = []
-            for part in parts:
-                sub = normal_form(rows, neighbors, part)
-                if isinstance(sub, int):
-                    return sub
-                exprs.append(sub)
-            bottom = ox(*exprs)
-            break
-        split = top_split(rows, mask)
-        if split is None:
-            return mask
-        mask, upper = split
-        uppers.append(upper)
-    else:
-        bottom = Var(mask.bit_length() - 1) if mask else UNIT
-    factors = [bottom]
-    for upper in reversed(uppers):
-        sub = normal_form(rows, neighbors, upper)
-        if isinstance(sub, int):
-            return sub
-        factors.append(sub)
-    return tri(*factors)
+            todo.append((ox, len(parts)))
+            todo.extend(reversed(parts))
+        else:
+            done.append(Var(item.bit_length() - 1) if item else UNIT)
+    return done[0]
 
 
 def top_split(rows, mask: int) -> tuple[int, int] | None:

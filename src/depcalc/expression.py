@@ -2,51 +2,116 @@
 
 An expression is built from the nullary unit, variables, an unordered n-ary
 independent product (``ox``) and an ordered n-ary dependent product (``tri``).
-Each variable may appear at most once.  The constructors normalize as they
-build: nested products of the same kind are flattened, units are absorbed,
-and ox children are sorted by least variable index, so two expressions denote
-the same poset exactly when they are equal values.
+Each variable may appear at most once: the node constructors reject a product
+whose children share a variable.  The normalizing constructors ``ox`` and
+``tri`` flatten nested products of the same kind, absorb units and sort ox
+children by least variable index, so two expressions denote the same poset
+exactly when they are equal values.
+
+Term nodes are immutable ``__slots__`` objects.  Each carries ``mask``, with
+bit v set for every variable x<v> in it, and a hash computed once from its
+children's stored hashes, so building, hashing and the linearity check cost
+O(children) per node and nothing walks a subterm again.
 
 Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i,
 ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at most ``MAX_NESTING``
-parentheses deep.
+parentheses deep, with i below ``poset.MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import MalformedExpression
-from .poset import FinitePoset, _mask_elements
+from .poset import MAX_ELEMENTS, FinitePoset, _mask_elements
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Unit:
+class _Term:
+    """Immutable term node: ``mask`` of its variables and a stored hash."""
+
+    __slots__ = ("mask", "_hash")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        # An explicit stack, so comparing deep terms does not recurse.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash or a.mask != b.mask:
+                return False
+            if isinstance(a, _Product):
+                if len(a.children) != len(b.children):
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
+
+
+class Unit(_Term):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "mask", 0)
+        _set(self, "_hash", hash((0,)))
+
     def __repr__(self):
         return "Unit"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(_Term):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        if index < 0:
+            raise MalformedExpression(f"variable index {index} is negative")
+        _set(self, "index", index)
+        _set(self, "mask", 1 << index)
+        _set(self, "_hash", hash((1, index)))
 
     def __repr__(self):
         return f"Var({self.index})"
 
 
-@dataclass(frozen=True)
-class Otimes:
-    children: tuple["Expression", ...]
+class _Product(_Term):
+    __slots__ = ("children",)
+    _tag = 0
+
+    def __init__(self, children: tuple["Expression", ...]):
+        children = tuple(children)
+        mask = repeated = 0
+        for child in children:
+            repeated |= mask & child.mask
+            mask |= child.mask
+        if repeated:
+            v = (repeated & -repeated).bit_length() - 1
+            raise MalformedExpression(f"variable x{v} appears more than once")
+        _set(self, "children", children)
+        _set(self, "mask", mask)
+        _set(self, "_hash", hash((self._tag, children)))
+
+
+class Otimes(_Product):
+    __slots__ = ()
+    _tag = 2
 
     def __repr__(self):
         return f"Otimes{self.children!r}"
 
 
-@dataclass(frozen=True)
-class Tri:
-    children: tuple["Expression", ...]
+class Tri(_Product):
+    __slots__ = ()
+    _tag = 3
 
     def __repr__(self):
         return f"Tri{self.children!r}"
@@ -56,38 +121,20 @@ Expression = Union[Unit, Var, Otimes, Tri]
 
 UNIT = Unit()
 
-#: Deepest parenthesis nesting ``parse_expression`` accepts.  Every pass over a
-#: term recurses once per level; this keeps a parsed term well inside
-#: Python's default recursion limit even when ox and tri alternate, so that
-#: no level flattens into its parent.
+#: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser,
+#: ``normalize`` and ``repr`` recurse once per level; this keeps a parsed term
+#: well inside Python's default recursion limit even when ox and tri
+#: alternate, so that no level flattens into its parent.
 MAX_NESTING = 200
 
 
 def variables(expr: Expression) -> tuple[int, ...]:
-    """Sorted variable indices; raises MalformedExpression on a repeat."""
-    seen: list[int] = []
-    _collect_vars(expr, seen)
-    ordered = sorted(seen)
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            raise MalformedExpression(f"variable x{a} appears more than once")
-    return tuple(ordered)
-
-
-def _collect_vars(expr: Expression, out: list[int]) -> None:
-    if isinstance(expr, Var):
-        out.append(expr.index)
-    elif isinstance(expr, (Otimes, Tri)):
-        for child in expr.children:
-            _collect_vars(child, out)
+    """Sorted variable indices."""
+    return _mask_elements(expr.mask)
 
 
 def _min_var(expr: Expression) -> int:
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, (Otimes, Tri)):
-        return min(_min_var(c) for c in expr.children)
-    raise MalformedExpression("unit has no variables to sort by")
+    return (expr.mask & -expr.mask).bit_length() - 1
 
 
 def ox(*parts: Expression) -> Expression:
@@ -105,9 +152,7 @@ def ox(*parts: Expression) -> Expression:
     if len(flat) == 1:
         return flat[0]
     flat.sort(key=_min_var)
-    result = Otimes(tuple(flat))
-    variables(result)
-    return result
+    return Otimes(tuple(flat))
 
 
 def tri(*parts: Expression) -> Expression:
@@ -124,9 +169,7 @@ def tri(*parts: Expression) -> Expression:
         return UNIT
     if len(flat) == 1:
         return flat[0]
-    result = Tri(tuple(flat))
-    variables(result)
-    return result
+    return Tri(tuple(flat))
 
 
 def normalize(expr: Expression) -> Expression:
@@ -141,11 +184,27 @@ def normalize(expr: Expression) -> Expression:
 
 
 def is_normal(expr: Expression) -> bool:
-    """True iff the term is already in canonical normal form."""
-    return normalize(expr) == expr
+    """True iff the term is already in canonical normal form.
+
+    That holds when no product has fewer than two children, a unit child or a
+    child of its own kind, and every ox lists its children by least variable.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, _Product):
+            continue
+        kids = node.children
+        if len(kids) < 2 or any(isinstance(c, (Unit, type(node))) for c in kids):
+            return False
+        if isinstance(node, Otimes):
+            lows = [c.mask & -c.mask for c in kids]
+            if lows != sorted(lows):
+                return False
+        stack.extend(kids)
+    return True
 
 
-@lru_cache(maxsize=None)
 def evaluate_labeled(expr: Expression) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Interpret the term over its own variable labels.
 
@@ -156,25 +215,18 @@ def evaluate_labeled(expr: Expression) -> tuple[tuple[int, ...], tuple[int, ...]
     """
     labels = variables(expr)
     up = dict.fromkeys(labels, 0)
-    _eval_into(expr, up)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Product):
+            stack.extend(node.children)
+            if isinstance(node, Tri):
+                later = 0
+                for child in reversed(node.children):
+                    for v in _mask_elements(child.mask):
+                        up[v] |= later
+                    later |= child.mask
     return tuple(up[v] for v in labels), labels
-
-
-def _eval_into(expr: Expression, up: dict[int, int]) -> int:
-    # Adds the term's relation to ``up`` and returns the mask of its labels;
-    # the labels are distinct, so the children's masks are disjoint.
-    if isinstance(expr, Unit):
-        return 0
-    if isinstance(expr, Var):
-        return 1 << expr.index
-    blocks = [_eval_into(c, up) for c in expr.children]
-    if isinstance(expr, Tri):
-        later = 0
-        for block in reversed(blocks):
-            for v in _mask_elements(block):
-                up[v] |= later
-            later |= block
-    return sum(blocks)
 
 
 def evaluate(expr: Expression) -> FinitePoset:
@@ -194,22 +246,47 @@ def evaluate(expr: Expression) -> FinitePoset:
 # Text syntax
 
 def format_expression(expr: Expression) -> str:
-    if isinstance(expr, Unit):
-        return "e"
-    if isinstance(expr, Var):
-        return f"x{expr.index}"
-    head = "ox" if isinstance(expr, Otimes) else "tri"
-    return f"({head} " + " ".join(format_expression(c) for c in expr.children) + ")"
+    # An explicit stack, so depth costs no recursion.  Every node's text
+    # starts with a space, which the root's loses at the end.
+    out = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Var):
+            out.append(f" x{node.index}")
+        elif isinstance(node, Unit):
+            out.append(" e")
+        else:
+            out.append(" (ox" if isinstance(node, Otimes) else " (tri")
+            stack.append(")")
+            stack.extend(reversed(node.children))
+    return "".join(out)[1:]
+
+
+def _is_var_token(tok: str) -> bool:
+    return tok[:1] == "x" and tok[1:].isdigit()
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse the s-expression syntax, normalizing as it builds."""
+    """Parse the s-expression syntax, normalizing as it builds.
+
+    Nesting past ``MAX_NESTING`` and a variable index of ``MAX_ELEMENTS`` or
+    more are rejected before any term is built.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     depth = 0
     for tok in tokens:
         depth += (tok == "(") - (tok == ")")
         if depth > MAX_NESTING:
             raise MalformedExpression(f"expression nests deeper than {MAX_NESTING} parentheses")
+        if _is_var_token(tok):
+            digits = tok[1:].lstrip("0")
+            if len(digits) > len(str(MAX_ELEMENTS)) or int(digits or 0) >= MAX_ELEMENTS:
+                raise MalformedExpression(
+                    f"variable {tok} is out of range; indices stop below {MAX_ELEMENTS}"
+                )
     pos = 0
 
     def parse_one() -> Expression:
@@ -220,7 +297,7 @@ def parse_expression(text: str) -> Expression:
         pos += 1
         if tok == "e":
             return UNIT
-        if tok.startswith("x") and tok[1:].isdigit():
+        if _is_var_token(tok):
             return Var(int(tok[1:]))
         if tok == "(":
             if pos >= len(tokens) or tokens[pos] not in ("ox", "tri"):
@@ -239,5 +316,4 @@ def parse_expression(text: str) -> Expression:
     expr = parse_one()
     if pos != len(tokens):
         raise MalformedExpression(f"trailing tokens after expression: {tokens[pos:]}")
-    variables(expr)
     return expr

@@ -25,6 +25,11 @@ from .errors import ArityError, CycleError, SizeError
 
 ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the millions
 
+#: Most elements a poset read from user input may have: poset JSON and the
+#: ``x<i>`` variables of expression text.  The closure of a poset this size is
+#: 32 MB of row masks; the library's own constructors are not capped.
+MAX_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class FinitePoset:
@@ -397,6 +402,8 @@ def from_json_dict(data: dict) -> FinitePoset:
     relations = data.get("relations", [])
     if not _is_json_int(n) or n < 0:
         raise ValueError("'elements' must be a nonnegative integer")
+    if n > MAX_ELEMENTS:
+        raise SizeError(f"poset has {n} elements; at most {MAX_ELEMENTS} are accepted")
     pairs = []
     for item in relations:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from hypothesis import settings
+
 from depcalc import FinitePoset, chains, empty, enumerate_posets, from_pairs
 from depcalc.expression import Tri, Unit, Var
 from depcalc.diagram import (
@@ -26,6 +28,11 @@ from depcalc.diagram import (
     SwapCell,
     total_polygraph,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure seen once is seen on every run.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------------------

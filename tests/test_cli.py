@@ -6,7 +6,7 @@ from depcalc import from_pairs, parse_expression
 from depcalc.cli import main
 from depcalc.expression import MAX_NESTING
 from depcalc.polynomial import MAX_COMPOSE_ENTRIES
-from depcalc.poset import from_json_dict, to_json_dict
+from depcalc.poset import MAX_ELEMENTS, from_json_dict, to_json_dict
 from depcalc.tropical import MAX_GANTT_COLUMNS
 
 from conftest import alternating_nest
@@ -68,6 +68,20 @@ def test_decompose_long_chain_exits_zero(write, capsys):
     code, out, err = run(capsys, "decompose", "--poset", write("c.json", chain_json))
     assert code == 0 and err == ""
     assert out.strip() == "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
+
+
+def test_decompose_deep_ox_tri_alternation_exits_zero(write, capsys):
+    # Built from pairs, not through evaluate: x_k is below everything after it
+    # exactly when its level is a tri, so no level flattens into its parent.
+    depth = 1199
+    pairs = [(k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1)]
+    path = write("nest.json", to_json_dict(from_pairs(depth + 1, pairs)))
+    code, out, err = run(capsys, "decompose", "--poset", path)
+    assert code == 0 and err == ""
+    assert out == alternating_nest(depth) + "\n"
+    code, out, err = run(capsys, "derive", "--source", path, "--target", path)
+    assert code == 0 and err == ""
+    assert out == f"equiv: {alternating_nest(depth)} => {alternating_nest(depth)}\n"
 
 
 def test_eval_roundtrips_poset_json(capsys):
@@ -371,6 +385,20 @@ def test_eval_nesting_past_the_cap_exits_two(capsys):
     depth = MAX_NESTING + 1
     for expr in (alternating_nest(depth), "(tri " * 1500 + "x0" + ")" * 1500):
         code, out, err = run(capsys, "eval", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_inputs_past_the_element_cap_exit_two(write, capsys):
+    huge = write("huge.json", {"elements": 100000000000, "relations": []})
+    over = write("over.json", {"elements": MAX_ELEMENTS + 1, "relations": []})
+    for argv in (
+        ("eval", "--expr", "(ox x0 x99999999999)"),
+        ("eval", "--expr", f"x{MAX_ELEMENTS}"),
+        ("check", "--poset", huge),
+        ("decompose", "--poset", over),
+    ):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

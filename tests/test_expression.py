@@ -20,6 +20,7 @@ from depcalc import (
     tri,
 )
 from depcalc.expression import MAX_NESTING, evaluate_labeled
+from depcalc.poset import MAX_ELEMENTS
 
 from conftest import all_posets, alternating_nest, oracle_evaluate, relation
 
@@ -70,6 +71,72 @@ def test_linearity_enforced():
         parse_expression("(tri x1 (ox x1 x2))")
 
 
+def test_equal_terms_built_apart_are_equal_values():
+    text = "(ox x0 (tri x1 (ox x2 x3)) x4)"
+    first, second = parse_expression(text), parse_expression(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != parse_expression("(ox x0 (tri x1 (ox x2 x3)) x5)")
+    assert Var(3) != Tri((Var(3),)) and UNIT == type(UNIT)()
+    assert first.mask == 0b11111 and Var(7).mask == 1 << 7 and UNIT.mask == 0
+
+
+def test_deep_terms_compare_without_recursion():
+    # Built bottom-up, 3,000 alternating levels: far past the recursion limit.
+    def nest(depth):
+        term = Var(depth)
+        for k in reversed(range(depth)):
+            term = (Otimes if k % 2 == 0 else Tri)((Var(k), term))
+        return term
+
+    assert nest(3000) == nest(3000) and nest(3000) != nest(2999)
+    assert format_expression(nest(3000)).startswith("(ox x0 (tri x1 (ox x2 ")
+
+
+def test_deep_decomposed_term_evaluates_back():
+    # 1,200 elements whose normal form alternates ox and tri at every level.
+    depth = 1199
+    p = from_pairs(depth + 1, [(k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1)])
+    expr = decompose(p)
+    assert format_expression(expr) == alternating_nest(depth)
+    assert evaluate(expr) == p
+
+
+def test_term_nodes_are_immutable():
+    for term in (UNIT, Var(0), ox(Var(0), Var(1)), tri(Var(0), Var(1))):
+        with pytest.raises(AttributeError):
+            term.mask = 0
+        with pytest.raises(AttributeError):
+            term.extra = 1
+    with pytest.raises(AttributeError):
+        Var(0).index = 1
+    with pytest.raises(AttributeError):
+        del Tri((Var(0), Var(1))).children
+
+
+def test_product_nodes_reject_a_repeated_variable():
+    with pytest.raises(MalformedExpression, match="^variable x0 appears more than once$"):
+        Otimes((Var(0), Var(0)))
+    # The least variable that repeats, wherever the overlaps are.
+    with pytest.raises(MalformedExpression, match="^variable x1 appears more than once$"):
+        Tri((Var(5), ox(Var(1), Var(5)), Var(1)))
+    with pytest.raises(MalformedExpression):
+        Var(-1)
+
+
+def test_term_attributes_the_bench_oracle_reads():
+    expr = parse_expression("(tri x0 (ox x1 x2) e)")
+    assert type(expr).__name__ == "Tri" and repr(expr) == "Tri(Var(0), Otimes(Var(1), Var(2)))"
+    low, high = expr.children
+    assert low.index == 0 and type(high).__name__ == "Otimes"
+    assert [c.index for c in high.children] == [1, 2]
+    assert type(UNIT).__name__ == "Unit" and repr(UNIT) == "Unit"
+
+
+def test_evaluate_labeled_keeps_no_cache():
+    assert not hasattr(evaluate_labeled, "cache_info")
+
+
 def test_parse_format_roundtrip():
     for text in ["e", "x0", "(tri x0 (ox x1 (tri x2 x3)))", "(ox x0 x1 x2)"]:
         assert format_expression(parse_expression(text)) == text
@@ -98,6 +165,17 @@ def test_parse_nesting_cap():
     # Same-kind levels flatten, but the text nesting is still capped.
     with pytest.raises(MalformedExpression):
         parse_expression("(tri " * (depth + 1) + "x0" + ")" * (depth + 1))
+
+
+def test_parse_element_cap():
+    assert parse_expression(f"x{MAX_ELEMENTS - 1}") == Var(MAX_ELEMENTS - 1)
+    assert parse_expression("(tri x007 x1)") == tri(Var(7), Var(1))
+    for text in (f"x{MAX_ELEMENTS}", "x99999999999", "x" + "9" * 5000):
+        with pytest.raises(MalformedExpression, match="out of range"):
+            parse_expression(text)
+    # Checked over the whole text before anything is built or matched.
+    with pytest.raises(MalformedExpression, match="out of range"):
+        parse_expression("(ox x0 x0 x99999999999")
 
 
 def test_evaluate_examples():

@@ -30,7 +30,13 @@ from depcalc import (
     substitute,
     transitive_reduction,
 )
-from depcalc.poset import from_json_dict, is_linear_extension, to_dot, to_json_dict
+from depcalc.poset import (
+    MAX_ELEMENTS,
+    from_json_dict,
+    is_linear_extension,
+    to_dot,
+    to_json_dict,
+)
 
 from conftest import (
     all_posets,
@@ -383,6 +389,14 @@ def test_json_rejects_garbage():
     ):
         with pytest.raises(ValueError):
             from_json_dict(bad)
+
+
+def test_json_element_cap():
+    for n in (MAX_ELEMENTS + 1, 100000000000):
+        with pytest.raises(SizeError, match=str(MAX_ELEMENTS)):
+            from_json_dict({"elements": n, "relations": []})
+    # The cap is on input only; constructors build past it.
+    assert antichain(MAX_ELEMENTS + 1).size == MAX_ELEMENTS + 1
 
 
 def test_dot_export():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +26,8 @@ from depcalc import (
     parse_expression,
     verify_proof,
 )
+from depcalc import structure_maps
+from depcalc.expression import Var, evaluate_labeled
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
 from conftest import buildable_posets, packed
@@ -110,6 +114,90 @@ def test_par_nodes_with_overlapping_variables_rejected():
     assert not verify_proof(dup)
     dup2 = TriPar(dup.parts)
     assert not verify_proof(dup2)
+
+
+def _corners(base):
+    return [Equiv(Var(base + k), Var(base + k)) for k in range(4)]
+
+
+def test_equal_proofs_built_apart_are_equal_values():
+    first, second = InterchangerSubst(*_corners(0)), InterchangerSubst(*_corners(0))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != InterchangerSubst(*_corners(1))
+    assert Compose(first, first) == Compose(second, second)
+    assert OtimesPar(first.corners) == OtimesPar(second.corners) != TriPar(first.corners)
+    assert derive_structure_map(antichain(3), chain(3)) == derive_structure_map(
+        from_pairs(3, []), from_pairs(3, [(0, 1), (1, 2)])
+    )
+
+
+def test_proof_nodes_are_immutable():
+    leaf = Equiv(Var(0), Var(0))
+    for node in (leaf, Compose(leaf, leaf), OtimesPar((leaf,)), TriPar((leaf,)),
+                 InterchangerSubst(leaf, leaf, leaf, leaf)):
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            node._verdict = True
+    with pytest.raises(AttributeError):
+        leaf.source = Var(1)
+    with pytest.raises(AttributeError):
+        Compose(leaf, leaf).left = leaf
+
+
+def test_proof_attributes_the_bench_oracle_reads():
+    proof = derive_structure_map(antichain(3), chain(3))
+    seen = {}
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        kind = type(node).__name__
+        seen[kind] = node
+        if kind == "Compose":
+            stack += [node.left, node.right]
+        elif kind == "InterchangerSubst":
+            stack += [node.corner_a, node.corner_b, node.corner_c, node.corner_d]
+            assert node.corners == (node.corner_a, node.corner_b, node.corner_c, node.corner_d)
+        elif kind != "Equiv":
+            stack += list(node.parts)
+    assert {"Equiv", "Compose", "InterchangerSubst"} <= set(seen)
+    assert seen["Equiv"].source == seen["Equiv"].target
+
+
+def test_structure_maps_keeps_two_memo_caches():
+    assert not hasattr(structure_maps, "_simplify")
+    assert not hasattr(structure_maps._verify, "cache_info")
+    assert not hasattr(evaluate_labeled, "cache_info")
+    assert hasattr(structure_maps._derive, "cache_info")
+
+
+def test_endpoints_and_verdict_stay_on_the_node():
+    proof = derive_structure_map(INTER_DOMAIN, INTER_CODOMAIN)
+    assert proof_source(proof) is proof_source(proof)
+    assert proof_target(proof) is proof_target(proof)
+    assert verify_proof(proof) and verify_proof(proof)
+
+
+def test_verifying_distinct_proofs_holds_no_memory():
+    def check(k):
+        a, b, c, d = _corners(4 * k)
+        after = TriPar((OtimesPar((a, c)), OtimesPar((b, d))))
+        proof = Compose(InterchangerSubst(a, b, c, d), after)
+        assert verify_proof(proof)
+
+    check(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 2001):
+            check(k)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def test_completeness_small():
