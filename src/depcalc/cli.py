@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 negative analytic result (not expressible, not an
-inclusion, invalid diagram), 2 input or usage error.  All output is
+inclusion, invalid diagram), 2 input or usage error, 70 internal error (a
+defect: one ``error: internal:`` line, no traceback).  All output is
 deterministic; JSON mode emits values that re-parse to equal objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -325,10 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser every ``main`` call in the process shares, built on first use.
+_parser = functools.cache(build_parser)
+
+#: BSD's EX_SOFTWARE: an exception outside the documented set is a defect.
+EXIT_INTERNAL = 70
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
@@ -341,6 +349,10 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except Exception as err:
+        message = " ".join(str(err).splitlines())
+        sys.stderr.write(f"error: internal: {type(err).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -605,6 +605,10 @@ def diagram_realizing(p: FinitePoset) -> tuple[PartialPolygraph, StringDiagram]:
 def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
     if not isinstance(data, dict) or "types" not in data or "generators" not in data:
         raise ValueError("polygraph JSON needs 'types' and 'generators'")
+    if not isinstance(data["generators"], dict) or not all(
+        isinstance(entry, dict) for entry in data["generators"].values()
+    ):
+        raise ValueError("'generators' must map names to objects with 'src' and 'tgt'")
     compat = [tuple(pair) for pair in data.get("compat", [])]
     generators = {
         str(name): (entry["src"], entry["tgt"]) for name, entry in data["generators"].items()

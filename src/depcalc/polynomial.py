@@ -31,8 +31,9 @@ from .poset import FinitePoset, _is_json_int, is_linear_extension
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
 
-#: Most entries ``compose`` and ``interchanger`` build; past it both raise
-#: SizeError before enumerating anything.  ``compose(p, q)`` builds
+#: Most entries ``dirichlet``, ``compose`` and ``interchanger`` build; past it
+#: each raises SizeError before enumerating anything.  ``dirichlet(p, q)``
+#: builds |p| * |q| positions; ``compose(p, q)`` builds
 #: sum(|q| ** d * max(d, 1)) entries over p's direction counts d.
 MAX_COMPOSE_ENTRIES = 1 << 20
 
@@ -72,6 +73,8 @@ def signature(p: FinitePolynomial) -> PolySignature:
 
 def dirichlet(p: FinitePolynomial, q: FinitePolynomial) -> FinitePolynomial:
     """Pairwise tensor: positions pair lexicographically, directions multiply."""
+    if p.positions * q.positions > MAX_COMPOSE_ENTRIES:
+        raise SizeError(f"tensor is guarded at {MAX_COMPOSE_ENTRIES} positions")
     return FinitePolynomial(tuple(dp * dq for dp in p.directions for dq in q.directions))
 
 

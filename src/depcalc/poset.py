@@ -333,17 +333,21 @@ def components(neighbors, mask: int) -> list[int]:
     return comps
 
 
-def transitive_reduction(p: FinitePoset) -> list[tuple[int, int]]:
-    """The cover pairs: the minimal pair set whose closure is the relation."""
-    rows = p.rows
+def cover_masks(rows) -> list[int]:
+    """Per element, the mask of the elements covering it, given closed row masks."""
     covers = []
-    for i, row in enumerate(rows):
+    for row in rows:
         # Aho, Garey & Ullman (1972): j covers i unless some k above i is below j.
         through = 0
         for k in _mask_elements(row):
             through |= rows[k]
-        covers += [(i, j) for j in _mask_elements(row & ~through)]
+        covers.append(row & ~through)
     return covers
+
+
+def transitive_reduction(p: FinitePoset) -> list[tuple[int, int]]:
+    """The cover pairs: the minimal pair set whose closure is the relation."""
+    return [(i, j) for i, up in enumerate(cover_masks(p.rows)) for j in _mask_elements(up)]
 
 
 def enumerate_posets(n: int) -> Iterator[FinitePoset]:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import ArityError, SizeError
-from .poset import FinitePoset, _mask_elements, comparability_graph, linear_extension
+from .poset import FinitePoset, _mask_elements, cover_masks, linear_extension
 
 Runtime = Fraction
 
@@ -29,7 +30,10 @@ MAX_GANTT_COLUMNS = 10_000
 
 def as_runtime(value) -> Runtime:
     """Coerce ints, decimal strings, and fractions to an exact nonnegative runtime."""
-    r = Fraction(value)
+    try:
+        r = Fraction(value)
+    except (ZeroDivisionError, OverflowError) as err:  # "1/0", float("inf")
+        raise ValueError(f"not a runtime: {value!r}") from err
     if r < 0:
         raise ValueError(f"runtimes must be nonnegative, got {value!r}")
     return r
@@ -43,19 +47,29 @@ def boxtimes(p: FinitePoset, runtimes: Sequence[Runtime]) -> Runtime:
     """
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
+    ticks, scale = _ticks(runtimes)
+    finish = _finish_ticks(cover_masks(p.rows), ticks, linear_extension(p))
+    return Fraction(max(finish, default=0), scale)
+
+
+def _ticks(runtimes: Sequence[Runtime]) -> tuple[list[int], int]:
+    """The runtimes as whole ticks of 1/scale, scale the lcm of their denominators."""
     values = [as_runtime(r) for r in runtimes]
-    return max(_finish_times(p, values, linear_extension(p)), default=Fraction(0))
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _finish_times(p: FinitePoset, values: list[Runtime], order) -> list[Runtime]:
-    # Earliest finish of each element: the longest chain-sum ending there
-    # (closure lets every predecessor stand in for the immediate ones).
-    rows = p.rows
-    below = [near & ~row for near, row in zip(comparability_graph(rows), rows)]
-    finish = [Fraction(0)] * p.size
+def _finish_ticks(covers: list[int], ticks: list[int], order) -> list[int]:
+    # Earliest finish of each element: the longest chain-sum ending there.
+    # Every related pair is a chain of covers, so pushing each finish to the
+    # elements covering it reaches every successor.
+    start = [0] * len(ticks)
+    finish = [0] * len(ticks)
     for e in order:
-        start = max((finish[q] for q in _mask_elements(below[e])), default=Fraction(0))
-        finish[e] = start + values[e]
+        done = finish[e] = start[e] + ticks[e]
+        for up in _mask_elements(covers[e]):
+            if start[up] < done:
+                start[up] = done
     return finish
 
 
@@ -74,35 +88,46 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
 
     The critical chain is the lexicographically least chain whose runtime sum
     equals the makespan (ties broken toward earlier elements, then toward
-    stopping early when trailing runtimes are zero).
+    stopping early when trailing runtimes are zero).  The passes run over
+    cover pairs in whole ticks; only the fields are fractions.
     """
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
-    values = [as_runtime(r) for r in runtimes]
     n = p.size
     if n == 0:
         return Schedule((), (), Fraction(0), ())
+    ticks, scale = _ticks(runtimes)
+    covers = cover_masks(p.rows)
     order = linear_extension(p)
-    finish = _finish_times(p, values, order)
-    start = [f - v for f, v in zip(finish, values)]
+    finish = _finish_ticks(covers, ticks, order)
     makespan = max(finish)
 
-    best_from: list[Runtime | None] = [None] * n
+    best_from = [0] * n
     for e in reversed(order):
-        outgoing = max((best_from[s] for s in p.above(e)), default=Fraction(0))
-        best_from[e] = values[e] + outgoing
+        best_from[e] = ticks[e] + max((best_from[s] for s in _mask_elements(covers[e])), default=0)
 
     chain: list[int] = []
     needed = makespan
-    candidates = range(n)
+    candidates = (1 << n) - 1
     while True:
-        nxt = min(e for e in candidates if best_from[e] == needed)
+        # The least candidate whose longest chain onward is what remains; one
+        # exists, since needed is the best over the candidates while positive.
+        low = candidates & -candidates
+        while best_from[low.bit_length() - 1] != needed:
+            candidates ^= low
+            low = candidates & -candidates
+        nxt = low.bit_length() - 1
         chain.append(nxt)
-        needed -= values[nxt]
+        needed -= ticks[nxt]
         if needed == 0:
             break
-        candidates = p.above(nxt)
-    return Schedule(tuple(start), tuple(finish), makespan, tuple(chain))
+        candidates = p.rows[nxt]
+    return Schedule(
+        tuple(Fraction(f - t, scale) for f, t in zip(finish, ticks)),
+        tuple(Fraction(f, scale) for f in finish),
+        Fraction(makespan, scale),
+        tuple(chain),
+    )
 
 
 def check_interchange(a, b, c, d) -> bool:
@@ -130,15 +155,16 @@ def render_gantt(plan: Schedule, resolution: Runtime | int = 1) -> str:
         )
     width = len(str(n - 1)) if n else 1
     lines = []
-    for e in range(n):
-        cells = []
-        for col in range(columns):
-            lo, hi = col * res, (col + 1) * res
-            if plan.start[e] < hi and plan.finish[e] > lo:
-                cells.append("#")
-            elif plan.start[e] == plan.finish[e] and lo <= plan.start[e] < hi:
-                cells.append("|")
-            else:
-                cells.append(".")
-        lines.append(f"{e:>{width}} [{''.join(cells)}]")
+    for e, (start, finish) in enumerate(zip(plan.start, plan.finish)):
+        # Window c, [c * res, (c + 1) * res), overlaps the task exactly when
+        # start // res <= c < ceil(finish / res).  A zero-length task on a
+        # window's left edge overlaps none and marks that window instead.
+        if start == finish and start % res == 0:
+            first, end, mark = start // res, start // res + 1, "|"
+        else:
+            first, end, mark = start // res, -(-finish // res), "#"
+        first = min(max(first, 0), columns)
+        end = min(max(end, first), columns)
+        cells = "." * first + mark * (end - first) + "." * (columns - end)
+        lines.append(f"{e:>{width}} [{cells}]")
     return "\n".join(lines)

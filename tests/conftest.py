@@ -5,8 +5,9 @@ counting enumerates raw relation subsets and filters by the axioms, the
 pair-set oracle restates each poset operation on explicit sets of pairs, the
 expressible-set oracle searches all binary build trees, the zig-zag oracle
 tries every ordered quadruple of elements, the tropical oracle
-sums over explicitly enumerated chains, and the strategy oracle for the
-polynomial product enumerates choice functions directly.
+sums over explicitly enumerated chains, the Gantt oracle tests every chart
+cell against its time window, and the strategy oracle for the polynomial
+product enumerates choice functions directly.
 """
 
 from __future__ import annotations
@@ -252,6 +253,29 @@ def chain_sum_boxtimes(p: FinitePoset, values) -> Fraction:
     if p.size == 0:
         return Fraction(0)
     return max(sum(values[e] for e in c) for c in chains(p))
+
+
+def gantt_per_cell(plan, res: Fraction) -> str:
+    """Independent Gantt chart: tests every cell's window against the task.
+
+    Assumes the chart fits under the column cap.
+    """
+    n = len(plan.start)
+    columns = int(max(1, -(-plan.makespan // res)))
+    width = len(str(n - 1)) if n else 1
+    lines = []
+    for e in range(n):
+        cells = []
+        for col in range(columns):
+            lo, hi = col * res, (col + 1) * res
+            if plan.start[e] < hi and plan.finish[e] > lo:
+                cells.append("#")
+            elif plan.start[e] == plan.finish[e] and lo <= plan.start[e] < hi:
+                cells.append("|")
+            else:
+                cells.append(".")
+        lines.append(f"{e:>{width}} [{''.join(cells)}]")
+    return "\n".join(lines)
 
 
 def random_runtime(rng: random.Random) -> Fraction:

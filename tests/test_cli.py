@@ -1,9 +1,10 @@
+import functools
 import json
 
 import pytest
 
-from depcalc import from_pairs, parse_expression
-from depcalc.cli import main
+from depcalc import cli, from_pairs, parse_expression
+from depcalc.cli import EXIT_INTERNAL, main
 from depcalc.expression import MAX_NESTING
 from depcalc.polynomial import MAX_COMPOSE_ENTRIES
 from depcalc.poset import MAX_ELEMENTS, from_json_dict, to_json_dict
@@ -354,6 +355,14 @@ def test_poly_tri_past_the_compose_cap_exits_two(write, capsys):
     assert str(MAX_COMPOSE_ENTRIES) in err
 
 
+def test_poly_ox_past_the_compose_cap_exits_two(write, capsys):
+    wide = write("w.json", {"positions": [1] * 2048})
+    code, out, err = run(capsys, "poly", "ox", "--left", wide, "--right", wide)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_COMPOSE_ENTRIES) in err
+
+
 def test_poly_verbose_table(write, capsys):
     left = write("l.json", {"positions": [2, 1]})
     right = write("r.json", {"positions": [1, 0]})
@@ -445,3 +454,87 @@ def test_emitted_poset_json_reparses_equal(write, capsys):
         code, out, _ = run(capsys, "intersect", path, "--format", "json")
         assert code == 0
         assert to_json_dict(from_json_dict(json.loads(out))) == json.loads(out)
+
+
+def test_main_builds_its_parser_once(write, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    poset = write("p.json", EXPR_JSON)
+    zigzag = write("z.json", ZIGZAG_JSON)
+    chains = write("c.json", TWO_CHAINS_JSON)
+    left = write("l.json", {"positions": [2, 1]})
+    right = write("r.json", {"positions": [1, 0]})
+    pg = write("pg.json", {
+        "types": ["w"],
+        "compat": [["w", "w"]],
+        "generators": {"a": {"src": ["w"], "tgt": ["w"]}},
+    })
+    diag = write("d.json", {"input": ["w"], "output": ["w"], "layers": [[{"gen": "a"}]]})
+    calls = [
+        ["check", "--poset", zigzag, "--format", "json"],
+        ["check", "--poset", zigzag],
+        ["decompose", "--poset", poset, "--format", "json"],
+        ["decompose", "--poset", poset],
+        ["eval", "--expr", "(tri x0 x1)", "--format", "dot"],
+        ["eval", "--expr", "(tri x0 x1)"],
+        ["derive", "--source", chains, "--target", poset],
+        ["derive", "--source", chains, "--target", zigzag, "--format", "json"],
+        ["covers", "--poset", zigzag],
+        ["intersect", zigzag, chains, "--format", "json"],
+        ["intersect", zigzag, chains],
+        ["tropical", "--poset", chains, "--runtimes", "1,3,4,1", "--format", "json"],
+        ["tropical", "--poset", chains, "--runtimes", "1,3,4,1", "--gantt"],
+        ["tropical", "--poset", chains, "--runtimes", "1,3,4,1"],
+        ["poly", "ox", "--left", left, "--right", right, "--verbose"],
+        ["poly", "tri", "--left", left, "--right", right, "--format", "json"],
+        ["poly", "tri", "--left", left, "--right", right],
+        ["poly", "boxtimes", "--poset", chains, "--parts", left, right, left, right],
+        ["diagram", "validate", "--polygraph", pg, "--diagram", diag],
+        ["diagram", "edge-poset", "--polygraph", pg, "--diagram", diag, "--format", "dot"],
+        ["diagram", "decorate", "--polygraph", pg, "--diagram", diag, "--assign", "a=2"],
+        ["check"],
+        ["tropical", "--poset", chains, "--runtimes", "1", "--format", "xml"],
+        ["--help"],
+        ["poly", "ox", "--help"],
+        ["check", "--poset", poset],
+    ]
+
+    def outcomes():
+        return [run(capsys, *argv) for argv in calls]
+
+    built = []
+
+    def counted():
+        built.append(None)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(counted))
+    shared = outcomes()
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes()
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes[:4] == [1, 1, 0, 0] and codes[-5:] == [2, 2, 0, 0, 0]
+    assert "usage: depcalc" in shared[-3][1]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom\nsecond line"), RecursionError("deep")])
+def test_unexpected_exception_exits_seventy(write, capsys, monkeypatch, error):
+    def broken(p):
+        raise error
+
+    monkeypatch.setattr(cli, "find_z", broken)
+    code, out, err = run(capsys, "check", "--poset", write("p.json", EXPR_JSON))
+    assert code == EXIT_INTERNAL == 70 and out == ""
+    message = " ".join(str(error).splitlines())
+    assert err == f"error: internal: {type(error).__name__}: {message}\n"
+
+
+def test_keyboard_interrupt_is_not_caught(write, monkeypatch):
+    def interrupted(p):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "find_z", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "--poset", write("p.json", EXPR_JSON)])

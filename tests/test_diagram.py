@@ -37,6 +37,7 @@ from depcalc import (
     total_polygraph,
     validate_diagram,
 )
+from depcalc.diagram import polygraph_from_json_dict
 
 from conftest import all_posets, diagram_polygraph, random_diagram
 
@@ -408,3 +409,9 @@ def test_random_diagrams_are_valid():
         assert validate_diagram(pg, diag) is True
         p, instances = edge_poset(diag)
         assert p.size == len(instances) <= 8
+
+
+def test_polygraph_json_generators_must_be_objects():
+    for generators in (None, [], ["a"], {"a": None}, {"a": ["w"]}):
+        with pytest.raises(ValueError, match="'generators' must map names"):
+            polygraph_from_json_dict({"types": ["w"], "generators": generators})

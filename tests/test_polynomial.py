@@ -261,6 +261,22 @@ def test_compose_guard_raises_before_enumerating():
     assert compose(poly(20), poly(7)).directions == (140,)
 
 
+def test_dirichlet_guard_counts_positions(monkeypatch):
+    p, q = poly(2, 1, 0), poly(1, 3)
+    monkeypatch.setattr(polynomial, "MAX_COMPOSE_ENTRIES", 6)
+    assert dirichlet(p, q).directions == (2, 6, 1, 3, 0, 0)
+    monkeypatch.setattr(polynomial, "MAX_COMPOSE_ENTRIES", 5)
+    with pytest.raises(SizeError):
+        dirichlet(p, q)
+
+
+def test_dirichlet_guard_raises_before_building():
+    wide = poly(*[1] * 2048)
+    with pytest.raises(SizeError, match=str(MAX_COMPOSE_ENTRIES)):
+        dirichlet(wide, wide)  # 2**22 positions
+    assert dirichlet(wide, poly(*[1] * 512)).positions == MAX_COMPOSE_ENTRIES
+
+
 def test_interchanger_guard():
     # One position each, but 3,000 x 3,000 directions to pull back.
     with pytest.raises(SizeError):

@@ -9,6 +9,7 @@ from depcalc import (
     ArityError,
     SizeError,
     ZIGZAG,
+    Schedule,
     antichain,
     boxtimes,
     chain,
@@ -23,7 +24,13 @@ from depcalc import (
 from depcalc.expression import Otimes, Tri, Unit, Var
 from depcalc.tropical import MAX_GANTT_COLUMNS, as_runtime, render_gantt
 
-from conftest import all_posets, buildable_posets, chain_sum_boxtimes, random_runtime
+from conftest import (
+    all_posets,
+    buildable_posets,
+    chain_sum_boxtimes,
+    gantt_per_cell,
+    random_runtime,
+)
 
 TWO_CHAINS = from_pairs(4, [(0, 1), (2, 3)])
 
@@ -112,9 +119,12 @@ def test_schedule_zigzag():
 def test_schedule_degenerate_shapes():
     plan = schedule(antichain(3), [F(1), F(2), F(3)])
     assert plan.start == (F(0), F(0), F(0))
-    x, y, z = F(2), F("1/2"), F(4)
-    plan = schedule(chain(3), [x, y, z])
-    assert plan.start == (F(0), x, x + y)
+    for x, y, z in ((F(2), F("1/2"), F(4)), (F(1, 3), F(1, 7), as_runtime("0.1"))):
+        plan = schedule(chain(3), [x, y, z])
+        assert plan.start == (F(0), x, x + y)
+        assert plan.finish == (x, x + y, x + y + z)
+        assert plan.makespan == x + y + z and plan.critical_chain == (0, 1, 2)
+        assert all(type(t) is F for t in plan.start + plan.finish + (plan.makespan,))
     assert schedule(empty(), []).makespan == 0
 
 
@@ -158,8 +168,9 @@ def test_check_interchange_always(a, b, c, d):
 def test_as_runtime_parses_decimal_strings_exactly():
     assert as_runtime("0.1") == F(1, 10)
     assert as_runtime("7") == 7
-    with pytest.raises(ValueError):
-        as_runtime("-2")
+    for bad in ("-2", "1/0", float("inf")):
+        with pytest.raises(ValueError):
+            as_runtime(bad)
 
 
 def test_gantt_render():
@@ -171,6 +182,37 @@ def test_gantt_render():
     assert lines[2].endswith("[####.]")
     half = render_gantt(plan, F("1/2"))
     assert half.splitlines()[0].endswith("[##........]")
+
+
+def test_gantt_matches_the_per_cell_oracle():
+    rng = random.Random(47)
+    resolutions = [F(1), F(1, 2), F(3, 5), F(2), F(1, 3), F(7, 4)]
+    for _ in range(400):
+        n = rng.randint(0, 5)
+        p = rng.choice(all_posets(n))
+        res = rng.choice(resolutions)
+        # Multiples of the resolution put starts and zero-length tasks on
+        # window edges; the other runtimes put them inside windows.
+        values = [
+            rng.choice([F(0), F(0), res * rng.randint(1, 3), random_runtime(rng)])
+            for _ in range(n)
+        ]
+        plan = schedule(p, values)
+        assert render_gantt(plan, res) == gantt_per_cell(plan, res)
+    # Zero-length tasks on a left edge, inside a window, at the makespan and
+    # at time 0 of an empty chart.
+    plan = Schedule((F(0), F(1), F(3, 2), F(2)), (F(1), F(1), F(3, 2), F(2)), F(2), (0,))
+    assert render_gantt(plan) == gantt_per_cell(plan, F(1)) == "0 [#.]\n1 [.|]\n2 [.#]\n3 [..]"
+    plan = schedule(antichain(2), [F(0), F(0)])
+    assert render_gantt(plan, F(1, 2)) == gantt_per_cell(plan, F(1, 2)) == "0 [|]\n1 [|]"
+
+
+def test_gantt_at_the_column_cap_matches_the_oracle():
+    plan = schedule(chain(3), [F(1, 4), F(0), F(3, 4)])
+    res = F(1, MAX_GANTT_COLUMNS)
+    art = render_gantt(plan, res)
+    assert art == gantt_per_cell(plan, res)
+    assert art.splitlines()[1] == "1 [" + "." * 2500 + "|" + "." * 7499 + "]"
 
 
 def test_gantt_column_cap():
