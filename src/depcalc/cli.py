@@ -95,10 +95,7 @@ def cmd_derive(args) -> int:
     target = _load_poset(args.target)
     try:
         proof = derive_structure_map(source, target)
-    except NotInclusion as err:
-        sys.stderr.write(f"no structure map: {err}\n")
-        return 1
-    except NotExpressible as err:
+    except (NotInclusion, NotExpressible) as err:
         sys.stderr.write(f"no structure map: {err}\n")
         return 1
     if args.format == "json":
@@ -189,9 +186,7 @@ def _parse_assignment(args, algebra: str) -> dg.Decoration:
             raise ValueError("assignment file must map generator names to values")
         if algebra == "tropical":
             return dg.Decoration({k: as_runtime(v) for k, v in raw.items()})
-        return dg.Decoration(
-            {k: pl.FinitePolynomial(tuple(v)) for k, v in raw.items()}
-        )
+        return dg.Decoration({k: pl.from_json_dict({"positions": v}) for k, v in raw.items()})
     if args.assign:
         if algebra != "tropical":
             raise ValueError("inline --assign holds runtimes; use --assign-file for polynomials")

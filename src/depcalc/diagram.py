@@ -26,12 +26,11 @@ from .poset import (
     FinitePoset,
     antichain,
     chain,
-    disjoint_union,
-    empty,
     from_pairs,
     is_inclusion,
     join,
     linear_extension,
+    substitute,
     transitive_reduction,
 )
 from .tropical import boxtimes
@@ -309,9 +308,7 @@ def path_decoration(
         for first, second in zip(path, path[1:]):
             if gens[first][1] != gens[second][0]:
                 raise InvalidPaths(f"{first!r} and {second!r} are not composable")
-    shape = empty()
-    for path in paths:
-        shape = disjoint_union(shape, chain(len(path)))
+    shape = substitute(antichain(len(paths)), [chain(len(path)) for path in paths])
     values = [decoration.value(name) for path in paths for name in path]
     return algebra.box(shape, values)
 

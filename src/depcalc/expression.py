@@ -28,10 +28,13 @@ from .poset import MAX_ELEMENTS, FinitePoset, _mask_elements
 _set = object.__setattr__
 
 
-class _Term:
-    """Immutable term node: ``mask`` of its variables and a stored hash."""
+class _Node:
+    """Immutable node with a stored hash: the base of terms and of proofs.
 
-    __slots__ = ("mask", "_hash")
+    A subclass that defines ``__eq__`` must restate ``__hash__``.
+    """
+
+    __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -41,6 +44,13 @@ class _Term:
 
     def __hash__(self):
         return self._hash
+
+
+class _Term(_Node):
+    """Term node: ``mask`` of its variables and a stored hash."""
+
+    __slots__ = ("mask",)
+    __hash__ = _Node.__hash__
 
     def __eq__(self, other):
         # An explicit stack, so comparing deep terms does not recurse.
@@ -137,39 +147,32 @@ def _min_var(expr: Expression) -> int:
     return (expr.mask & -expr.mask).bit_length() - 1
 
 
-def ox(*parts: Expression) -> Expression:
-    """Independent product; flattens, absorbs units, sorts by least variable."""
+def _product(kind: type, parts, key) -> Expression:
+    """The normal-form ``kind`` product: flattens, absorbs units, sorts by ``key``."""
     flat: list[Expression] = []
     for part in parts:
-        if isinstance(part, Unit):
-            continue
-        if isinstance(part, Otimes):
+        cls = type(part)
+        if cls is kind:
             flat.extend(part.children)
-        else:
+        elif cls is not Unit:
             flat.append(part)
     if not flat:
         return UNIT
     if len(flat) == 1:
         return flat[0]
-    flat.sort(key=_min_var)
-    return Otimes(tuple(flat))
+    if key is not None:
+        flat.sort(key=key)
+    return kind(tuple(flat))
+
+
+def ox(*parts: Expression) -> Expression:
+    """Independent product; flattens, absorbs units, sorts by least variable."""
+    return _product(Otimes, parts, _min_var)
 
 
 def tri(*parts: Expression) -> Expression:
     """Dependent product, earlier arguments first; flattens and absorbs units."""
-    flat: list[Expression] = []
-    for part in parts:
-        if isinstance(part, Unit):
-            continue
-        if isinstance(part, Tri):
-            flat.extend(part.children)
-        else:
-            flat.append(part)
-    if not flat:
-        return UNIT
-    if len(flat) == 1:
-        return flat[0]
-    return Tri(tuple(flat))
+    return _product(Tri, parts, None)
 
 
 def normalize(expr: Expression) -> Expression:

@@ -18,16 +18,18 @@ under the bound.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
 from operator import and_
 from typing import Sequence
 
-from .errors import ArityError, PreconditionError, SizeMismatch
+from .errors import ArityError, PreconditionError, SizeError, SizeMismatch
 from .expressible import is_expressible
 from .poset import (
     FinitePoset,
     _mask_elements,
     chain,
-    from_pairs,
+    disjoint_union,
     induced,
     is_inclusion,
     is_linear_extension,
@@ -35,6 +37,10 @@ from .poset import (
     singleton,
     substitute,
 )
+
+#: Most row bits ``expressible_covers`` builds, (incomparable pairs + 1) * n * n;
+#: past it, SizeError before anything is built.  Antichains up to 38 fit.
+MAX_COVER_BITS = 1 << 20
 
 
 def mu(p: FinitePoset, parts: Sequence[FinitePoset]) -> FinitePoset:
@@ -51,8 +57,15 @@ def act(tau: Sequence[int], p: FinitePoset) -> FinitePoset:
     """Relabel p along the permutation tau (element i becomes tau[i])."""
     if len(tau) != p.size or sorted(tau) != list(range(p.size)):
         raise ArityError(f"not a permutation of {p.size} elements: {tau!r}")
-    source = sorted(range(p.size), key=tau.__getitem__)  # the inverse of tau
-    rows = (sum(1 << tau[j] for j in _mask_elements(p.rows[i])) for i in source)
+    bits = [1 << t for t in tau]
+    rows = [0] * p.size
+    for i, row in enumerate(p.rows):
+        moved = 0
+        while row:
+            low = row & -row
+            moved |= bits[low.bit_length() - 1]
+            row ^= low
+        rows[tau[i]] = moved
     return FinitePoset(p.size, tuple(rows))
 
 
@@ -92,32 +105,31 @@ def incomparability_witness(
     prefix = order[: pos[i]]
     between = order[pos[i] + 1 : pos[j]]
     suffix = order[pos[j] + 1 :]
-    block_i = (i,) + tuple(k for k in between if p.lt(i, k))
-    block_j = tuple(k for k in between if not p.lt(i, k)) + (j,)
-    in_i = set(block_i)
-    for x, y in p.pairs():
-        if (x in in_i) != (y in in_i) and {x, y} <= set(block_i) | set(block_j):
+    above_i = p.rows[i]
+    block_i = (i,) + tuple(k for k in between if above_i >> k & 1)
+    block_j = tuple(k for k in between if not above_i >> k & 1) + (j,)
+    middle = disjoint_union(chain(len(block_i)), chain(len(block_j)))
+    shape = substitute(chain(3), [chain(len(prefix)), middle, chain(len(suffix))])
+    witness = act(prefix + block_i + block_j + suffix, shape)
+    # Along an extension the chains keep every relation of p except those
+    # between the two blocks; report the least such pair.
+    for x, row in enumerate(p.rows):
+        lost = row & ~witness.rows[x]
+        if lost:
+            y = (lost & -lost).bit_length() - 1
             raise PreconditionError(
                 f"extension does not separate the pair: relation ({x}, {y}) "
                 "crosses the two incomparability blocks"
             )
-    pairs: list[tuple[int, int]] = []
-    for chain_part in (prefix, block_i, block_j, suffix):
-        pairs += [
-            (chain_part[a], chain_part[b])
-            for a in range(len(chain_part))
-            for b in range(a + 1, len(chain_part))
-        ]
-    middle = block_i + block_j
-    pairs += [(x, y) for x in prefix for y in middle + suffix]
-    pairs += [(x, y) for x in middle for y in suffix]
-    return from_pairs(p.size, pairs)
+    return witness
 
 
 def _separating_extension(p: FinitePoset, i: int, j: int) -> tuple[int, ...]:
     """A linear extension of p in which i immediately precedes j."""
-    lower = [x for x in range(p.size) if p.lt(x, i) or p.lt(x, j)]
-    rest = [x for x in range(p.size) if x not in (i, j) and x not in set(lower)]
+    pair = 1 << i | 1 << j
+    below = sum(1 << x for x, row in enumerate(p.rows) if row & pair)
+    lower = _mask_elements(below)
+    rest = _mask_elements(((1 << p.size) - 1) & ~(below | pair))
     head = linear_extension(induced(p, lower))
     tail = linear_extension(induced(p, rest))
     return tuple(lower[k] for k in head) + (i, j) + tuple(rest[k] for k in tail)
@@ -129,9 +141,14 @@ def expressible_covers(p: FinitePoset) -> list[FinitePoset]:
     One linear extension of p, plus one incomparability witness per unordered
     incomparable pair, each built over a pair-adapted extension.
     """
-    covers = [act(linear_extension(p), chain(p.size))]
-    for i in range(p.size):
-        for j in range(i + 1, p.size):
+    n = p.size
+    pairs = n * (n - 1) // 2 - sum(row.bit_count() for row in p.rows)
+    if (pairs + 1) * n * n > MAX_COVER_BITS:
+        raise SizeError(f"covers of {n} elements, {pairs} incomparable pairs, pass "
+                        f"the guard of {MAX_COVER_BITS} row bits")
+    covers = [act(linear_extension(p), chain(n))]
+    for i in range(n):
+        for j in range(i + 1, n):
             if p.comparable(i, j):
                 continue
             ext = _separating_extension(p, i, j)
@@ -158,16 +175,12 @@ def terminal_cover_factorization(
         raise PreconditionError("mu(p, parts) must be included in r")
     if not is_expressible(r):
         raise PreconditionError("r must be expressible")
-    offsets = [0] * (p.size + 1)
-    for a, part in enumerate(parts):
-        offsets[a + 1] = offsets[a] + part.size
-    blocks = [tuple(range(offsets[a], offsets[a + 1])) for a in range(p.size)]
+    offsets = list(accumulate((part.size for part in parts), initial=0))
+    blocks = [range(offsets[a], offsets[a + 1]) for a in range(p.size)]
     r_parts = [induced(r, block) for block in blocks]
-    outer_pairs = [
-        (a, b)
-        for a in range(p.size)
-        for b in range(p.size)
-        if a != b and all(r.lt(x, y) for x in blocks[a] for y in blocks[b])
-    ]
-    r_outer = from_pairs(p.size, outer_pairs)
-    return r_outer, r_parts
+    # Block a lies below block b when the AND of a's rows holds all of b; r is
+    # closed and antisymmetric, so these rows are too.
+    masks = [((1 << len(block)) - 1) << block.start for block in blocks]
+    common = [reduce(and_, map(r.rows.__getitem__, block)) for block in blocks]
+    rows = (sum(1 << b for b, mask in enumerate(masks) if c & mask == mask) for c in common)
+    return FinitePoset(p.size, tuple(rows)), r_parts

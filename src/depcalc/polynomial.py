@@ -22,8 +22,8 @@ pairwise tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
+from itertools import accumulate, product
+from typing import Iterator, Sequence
 
 from .errors import ArityError, InvalidExtension, SizeError
 from .poset import FinitePoset, _is_json_int, is_linear_extension
@@ -86,12 +86,8 @@ def compose(p: FinitePolynomial, q: FinitePolynomial) -> FinitePolynomial:
     count at (I, f) is the sum of q's counts along f.
     """
     _compose_size(p, q)
-    counts = []
-    nq = q.positions
-    for dp in p.directions:
-        for f in product(range(nq), repeat=dp):
-            counts.append(sum(q.directions[j] for j in f))
-    return FinitePolynomial(tuple(counts))
+    dq = q.directions
+    return FinitePolynomial(tuple(sum(dq[j] for j in f) for _, f in _compose_positions(p, q)))
 
 
 @dataclass(frozen=True)
@@ -155,11 +151,7 @@ def comparitor(p: FinitePolynomial, q: FinitePolynomial) -> PolyMorphism:
     source = dirichlet(p, q)
     target = compose(p, q)
     nq = q.positions
-    offsets = []
-    acc = 0
-    for dp in p.directions:
-        offsets.append(acc)
-        acc += nq**dp
+    offsets = list(accumulate((nq**dp for dp in p.directions), initial=0))
     position_map = []
     direction_maps = []
     for i_pos, dp in enumerate(p.directions):
@@ -191,12 +183,11 @@ def _compose_size(p: FinitePolynomial, q: FinitePolynomial) -> tuple[int, int]:
     return entries, directions
 
 
-def _compose_positions(p: FinitePolynomial, q: FinitePolynomial) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for i_pos in range(p.positions):
-        for f in product(range(q.positions), repeat=p.directions[i_pos]):
-            out.append((i_pos, f))
-    return out
+def _compose_positions(p: FinitePolynomial, q: FinitePolynomial) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The positions (I, f) of ``compose(p, q)`` in order: I-major, f lexicographic."""
+    for i_pos, dp in enumerate(p.directions):
+        for f in product(range(q.positions), repeat=dp):
+            yield i_pos, f
 
 
 def interchanger(
@@ -216,8 +207,7 @@ def interchanger(
     built = pq_entries * rs_entries + pq_directions * rs_directions
     if built + p.positions * r.positions + q.positions * s.positions > MAX_COMPOSE_ENTRIES:
         raise SizeError(f"interchanger is guarded at {MAX_COMPOSE_ENTRIES} entries")
-    pq_positions = _compose_positions(p, q)
-    rs_positions = _compose_positions(r, s)
+    rs_positions = list(_compose_positions(r, s))
     pq = compose(p, q)
     rs = compose(r, s)
     source = dirichlet(pq, rs)
@@ -228,15 +218,11 @@ def interchanger(
 
     # Offsets of the target's (m, g) groups: group m has n_qs**d_pr(m) members.
     pr = dirichlet(p, r)
-    target_offsets = []
-    acc = 0
-    for d in pr.directions:
-        target_offsets.append(acc)
-        acc += n_qs**d
+    target_offsets = list(accumulate((n_qs**d for d in pr.directions), initial=0))
 
     position_map = []
     direction_maps = []
-    for a, (i_pos, jf) in enumerate(pq_positions):
+    for i_pos, jf in _compose_positions(p, q):
         for b, (k_pos, lf) in enumerate(rs_positions):
             m = i_pos * r.positions + k_pos
             g = [jf[i] * ns + lf[k] for i in range(p.directions[i_pos]) for k in range(r.directions[k_pos])]
@@ -244,12 +230,8 @@ def interchanger(
 
             # Walk the target's directions in their dependent-pair order and
             # record the corresponding source direction.
-            q_offsets = [0]
-            for i in range(p.directions[i_pos]):
-                q_offsets.append(q_offsets[-1] + q.directions[jf[i]])
-            s_offsets = [0]
-            for k in range(r.directions[k_pos]):
-                s_offsets.append(s_offsets[-1] + s.directions[lf[k]])
+            q_offsets = list(accumulate((q.directions[j] for j in jf), initial=0))
+            s_offsets = list(accumulate((s.directions[ell] for ell in lf), initial=0))
             rs_count = rs.directions[b]
             pullback = []
             for i in range(p.directions[i_pos]):

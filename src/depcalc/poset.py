@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import and_
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import ArityError, CycleError, SizeError
@@ -48,7 +49,7 @@ class FinitePoset:
             raise ValueError("size must be nonnegative")
         if len(self.rows) != self.size:
             raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
-        if any(row < 0 or row >> self.size for row in self.rows):
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.size):
             raise ValueError("relation rows out of range for size")
 
     def lt(self, i: int, j: int) -> bool:
@@ -160,9 +161,7 @@ def substitute(p: FinitePoset, parts: list[FinitePoset]) -> FinitePoset:
     """
     if len(parts) != p.size:
         raise ArityError(f"expected {p.size} parts, got {len(parts)}")
-    offsets = [0] * (p.size + 1)
-    for a, part in enumerate(parts):
-        offsets[a + 1] = offsets[a] + part.size
+    offsets = list(accumulate((part.size for part in parts), initial=0))
     blocks = [((1 << part.size) - 1) << offsets[a] for a, part in enumerate(parts)]
     rows = []
     for a, part in enumerate(parts):
@@ -279,8 +278,8 @@ def linear_extension(p: FinitePoset) -> tuple[int, ...]:
 def is_linear_extension(p: FinitePoset, order: tuple[int, ...]) -> bool:
     if sorted(order) != list(range(p.size)):
         return False
-    position = {e: k for k, e in enumerate(order)}
-    return all(position[i] < position[j] for i, j in p.pairs())
+    earlier = accumulate((1 << e for e in order), or_, initial=0)  # placed before e
+    return not any(p.rows[e] & placed for e, placed in zip(order, earlier))
 
 
 def chains(p: FinitePoset) -> list[tuple[int, ...]]:

@@ -37,17 +37,24 @@ from operator import and_
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
-from .expression import Expression, evaluate_labeled, format_expression, ox, tri
+from .expression import (
+    Expression,
+    _Node,
+    _set,
+    evaluate_labeled,
+    format_expression,
+    ox,
+    tri,
+)
 from .expressible import find_z, normal_form, top_split
 from .poset import FinitePoset, comparability_graph, components, is_inclusion
 
-_set = object.__setattr__
 
+class _Proof(_Node):
+    """Derivation node with a stored hash, endpoints and verdict."""
 
-class _Proof:
-    """Immutable derivation node with a stored hash, endpoints and verdict."""
-
-    __slots__ = ("_hash", "_source", "_target", "_verdict")
+    __slots__ = ("_source", "_target", "_verdict")
+    __hash__ = _Node.__hash__
     _tag = 0
 
     def _init(self, fields: tuple, source=None, target=None) -> None:
@@ -55,15 +62,6 @@ class _Proof:
         _set(self, "_source", source)
         _set(self, "_target", target)
         _set(self, "_verdict", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __eq__(self, other):
         return self is other or (

@@ -13,6 +13,7 @@ predecessor finishes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -27,9 +28,19 @@ Runtime = Fraction
 #: per element of this many cells, so it raises SizeError instead.
 MAX_GANTT_COLUMNS = 10_000
 
+#: Largest exponent magnitude ``as_runtime`` accepts in decimal text (4,300):
+#: a larger power of ten passes Python's int-to-text digit limit anyway.
+MAX_RUNTIME_EXPONENT = sys.int_info.default_max_str_digits
+
 
 def as_runtime(value) -> Runtime:
     """Coerce ints, decimal strings, and fractions to an exact nonnegative runtime."""
+    if isinstance(value, str):  # refuse a huge exponent before Fraction raises 10 to it
+        _, marker, exponent = value.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if marker and digits.isdecimal():
+            if len(digits) > 5 or int(digits) > MAX_RUNTIME_EXPONENT:
+                raise ValueError(f"runtime exponent past {MAX_RUNTIME_EXPONENT}: {value!r}")
     try:
         r = Fraction(value)
     except (ZeroDivisionError, OverflowError) as err:  # "1/0", float("inf")

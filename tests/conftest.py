@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: poset
 counting enumerates raw relation subsets and filters by the axioms, the
-pair-set oracle restates each poset operation on explicit sets of pairs, the
+pair-set oracle restates each poset operation on explicit sets of pairs (the
+incomparability witness included, as chain pairs closed by ``from_pairs``), the
 expressible-set oracle searches all binary build trees, the zig-zag oracle
 tries every ordered quadruple of elements, the tropical oracle
 sums over explicitly enumerated chains, the Gantt oracle tests every chart
@@ -19,7 +20,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import settings
 
-from depcalc import FinitePoset, chains, empty, enumerate_posets, from_pairs
+from depcalc import FinitePoset, PreconditionError, chains, empty, enumerate_posets, from_pairs
 from depcalc.expression import Tri, Unit, Var
 from depcalc.diagram import (
     GenCell,
@@ -135,6 +136,49 @@ def oracle_covers(p: FinitePoset) -> list[tuple[int, int]]:
     return sorted(
         (i, j) for i, j in rel if not any((i, k) in rel and (k, j) in rel for k in range(p.size))
     )
+
+
+def oracle_is_linear_extension(p: FinitePoset, order) -> bool:
+    """A permutation of the elements that lists every related pair in order."""
+    if sorted(order) != list(range(p.size)):
+        return False
+    return all(order.index(i) < order.index(j) for i, j in p.pairs())
+
+
+def oracle_witness(p: FinitePoset, extension, i: int, j: int) -> FinitePoset:
+    """The incomparability witness from explicit chain pairs, closed by ``from_pairs``.
+
+    prefix-chain tri (Q_i ox Q_j') tri suffix-chain, each block chained in
+    extension order; raises PreconditionError with the library's texts, the
+    crossing pair being the least related pair with exactly one end in Q_i.
+    """
+    order = tuple(extension)
+    if not oracle_is_linear_extension(p, order):
+        raise PreconditionError(f"{order!r} is not a linear extension of the poset")
+    if p.comparable(i, j):
+        raise PreconditionError(f"elements {i} and {j} are comparable")
+    pos = {e: k for k, e in enumerate(order)}
+    if pos[i] >= pos[j]:
+        raise PreconditionError(f"extension must list {i} before {j}")
+    prefix = order[: pos[i]]
+    between = order[pos[i] + 1 : pos[j]]
+    suffix = order[pos[j] + 1 :]
+    block_i = (i,) + tuple(k for k in between if p.lt(i, k))
+    block_j = tuple(k for k in between if not p.lt(i, k)) + (j,)
+    in_i = set(block_i)
+    for x, y in p.pairs():
+        if (x in in_i) != (y in in_i) and {x, y} <= set(block_i) | set(block_j):
+            raise PreconditionError(
+                f"extension does not separate the pair: relation ({x}, {y}) "
+                "crosses the two incomparability blocks"
+            )
+    pairs: list[tuple[int, int]] = []
+    for chain_part in (prefix, block_i, block_j, suffix):
+        pairs += list(combinations(chain_part, 2))
+    middle = block_i + block_j
+    pairs += [(x, y) for x in prefix for y in middle + suffix]
+    pairs += [(x, y) for x in middle for y in suffix]
+    return from_pairs(p.size, pairs)
 
 
 def oracle_evaluate(expr) -> tuple[tuple[int, ...], frozenset]:

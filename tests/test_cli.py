@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 
@@ -538,3 +539,43 @@ def test_keyboard_interrupt_is_not_caught(write, monkeypatch):
     monkeypatch.setattr(cli, "find_z", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["check", "--poset", write("p.json", EXPR_JSON)])
+
+
+def test_covers_past_the_guard_exit_two_at_once(write, capsys):
+    source = write("a.json", {"elements": 300, "relations": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "covers", "--poset", source)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("runtime", ["1e10000000", "1e-10000000", "0e999999999"])
+def test_tropical_runtime_exponents_past_the_bound_exit_two_at_once(write, capsys, runtime):
+    source = write("p.json", {"elements": 1, "relations": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tropical", "--poset", source, "--runtimes", runtime)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tropical_runtime_exponent_reads_exactly(write, capsys):
+    source = write("p.json", {"elements": 1, "relations": []})
+    code, out, _ = run(capsys, "tropical", "--poset", source, "--runtimes", "2.5e-1")
+    assert code == 0 and out.startswith("makespan: 1/4\n")
+
+
+@pytest.mark.parametrize("value", [[True], [1.5], [-1], "y", None])
+def test_polynomial_assignment_values_are_checked(write, capsys, value):
+    # The same check as a polynomial file: integer direction counts only.
+    pg = {"types": ["w"], "compat": [["w", "w"]],
+          "generators": {"a": {"src": ["w"], "tgt": ["w"]}}}
+    diag = {"input": ["w"], "output": ["w"], "layers": [[{"gen": "a"}]]}
+    argv = ["diagram", "decorate", "--polygraph", write("pg.json", pg),
+            "--diagram", write("d.json", diag), "--algebra", "poly"]
+    code, out, err = run(capsys, *argv, "--assign-file", write("v.json", {"a": value}))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, *argv, "--assign-file", write("v.json", {"a": [2, 0]}))
+    assert code == 0 and out == "signature: 2 0  (y^2 + 1)\n"

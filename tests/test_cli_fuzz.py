@@ -217,8 +217,9 @@ def test_tropical_keeps_the_exit_contract(folder, data, fmt):
     invoke(argv)
 
 
-# expressible_covers builds one witness per incomparable pair, O(n^4) in all:
-# 64 elements take seconds, so covers draws at most 16.
+# expressible_covers builds one n-row witness per incomparable pair and raises
+# SizeError past operad.MAX_COVER_BITS of (pairs + 1) * n^2 row bits.  Sixteen
+# elements need at most 121 * 256 of them, so every draw here builds its covers.
 @settings(max_examples=60, deadline=None)
 @given(source=poset_json(max_elements=16), fmt=st.sampled_from(["text", "json"]))
 def test_covers_keeps_the_exit_contract(folder, source, fmt):

@@ -1,0 +1,50 @@
+"""Design rules of the source tree, checked on its syntax.
+
+The library builds its own posets with the row algebra (substitution,
+relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
+relations that come from outside it.
+"""
+
+import ast
+from pathlib import Path
+
+import depcalc
+
+SOURCE = Path(depcalc.__file__).parent
+
+#: Where ``from_pairs`` may be called: (module, enclosing function or the
+#: module-level name assigned).
+FROM_PAIRS_CALLERS = {
+    ("poset", "from_json_dict"),  # poset JSON
+    ("diagram", "edge_poset"),  # diagram wiring
+    ("expressible", "ZIGZAG"),  # the zig-zag literal
+}
+
+
+def _from_pairs_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Assign) and scope == "<module>":
+            scope = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "from_pairs":
+                found.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_from_pairs_is_called_only_at_input_boundaries():
+    callers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += _from_pairs_callers(path.stem, tree)
+    assert set(callers) == FROM_PAIRS_CALLERS
+    assert len(callers) == len(FROM_PAIRS_CALLERS)

@@ -6,6 +6,7 @@ import pytest
 from depcalc import (
     ArityError,
     PreconditionError,
+    SizeError,
     SizeMismatch,
     ZIGZAG,
     act,
@@ -28,8 +29,16 @@ from depcalc import (
     terminal_cover_factorization,
     unit,
 )
+from depcalc.operad import MAX_COVER_BITS
 
-from conftest import all_posets, buildable_posets, oracle_act, oracle_intersect, relation
+from conftest import (
+    all_posets,
+    buildable_posets,
+    oracle_act,
+    oracle_intersect,
+    oracle_witness,
+    relation,
+)
 
 SMALL = [p for n in range(4) for p in all_posets(n)]  # every poset with n <= 3
 
@@ -170,6 +179,32 @@ def test_witness_postconditions_on_separating_extensions():
                         assert not w.comparable(i, j)
 
 
+def _outcome(build, p, ext, i, j):
+    try:
+        return build(p, ext, i, j)
+    except PreconditionError as err:
+        return str(err)
+
+
+def _assert_witnesses_match_the_oracle(sizes, extensions_per_poset=None):
+    for n in sizes:
+        for p in all_posets(n):
+            for ext in linear_extensions(p)[:extensions_per_poset]:
+                for i, j in permutations(range(n), 2):
+                    got = _outcome(incomparability_witness, p, ext, i, j)
+                    assert got == _outcome(oracle_witness, p, ext, i, j), (p, ext, i, j)
+
+
+def test_witness_matches_the_pair_list_oracle():
+    # Witnesses and PreconditionError texts alike, every extension and pair.
+    _assert_witnesses_match_the_oracle(range(5))
+
+
+@pytest.mark.slow
+def test_witness_matches_the_pair_list_oracle_on_five_elements():
+    _assert_witnesses_match_the_oracle([5], extensions_per_poset=6)
+
+
 def test_witness_precondition_errors():
     with pytest.raises(PreconditionError):
         incomparability_witness(chain(2), (0, 1), 0, 1)  # comparable pair
@@ -181,6 +216,13 @@ def test_witness_precondition_errors():
     p = from_pairs(4, [(0, 2), (1, 2)])
     with pytest.raises(PreconditionError):
         incomparability_witness(p, (0, 1, 2, 3), 0, 3)
+
+
+def test_covers_past_the_guard_raise_before_building():
+    assert (703 + 1) * 38 * 38 <= MAX_COVER_BITS < (741 + 1) * 39 * 39
+    with pytest.raises(SizeError):
+        expressible_covers(antichain(39))
+    assert len(expressible_covers(chain(1024))) == 1  # no incomparable pair
 
 
 def test_covers_reconstruct_small():
@@ -244,6 +286,13 @@ def test_terminal_factorization_guarantees_and_terminality():
             [q for q in buildable_posets(total) if is_inclusion(composite, q)]
         )
         r_outer, r_parts = terminal_cover_factorization(r, p, parts)
+        starts = [sum(sizes[:a]) for a in range(parts_count + 1)]
+        blocks = [range(starts[a], starts[a + 1]) for a in range(parts_count)]
+        assert r_outer == from_pairs(parts_count, [
+            (a, b)
+            for a, b in permutations(range(parts_count), 2)
+            if all(r.lt(x, y) for x in blocks[a] for y in blocks[b])
+        ])
         assert is_inclusion(p, r_outer)
         for part, r_part in zip(parts, r_parts):
             assert is_inclusion(part, r_part)

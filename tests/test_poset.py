@@ -43,6 +43,7 @@ from conftest import (
     oracle_count_posets,
     oracle_covers,
     oracle_induced,
+    oracle_is_linear_extension,
     oracle_join,
     oracle_substitute,
     oracle_union,
@@ -276,6 +277,18 @@ def test_every_extension_is_a_containing_chain():
                 (ext[a], ext[b]) for a in range(4) for b in range(a + 1, 4)
             ]
             assert is_inclusion(p, from_pairs(4, chain_pairs))
+
+
+def test_is_linear_extension_matches_the_pairs_definition():
+    cases = 0
+    for n in range(6):
+        for p in all_posets(n):
+            for order in permutations(range(n)):
+                assert is_linear_extension(p, order) == oracle_is_linear_extension(p, order)
+                cases += 1
+    assert cases == 513_098
+    for order in ((), (0,), (0, 0, 1), (0, 1, 3), (1, 2, 3)):
+        assert not is_linear_extension(chain(3), order)
 
 
 def test_chains():
