@@ -8,10 +8,16 @@ whose children share a variable.  The normalizing constructors ``ox`` and
 children by least variable index, so two expressions denote the same poset
 exactly when they are equal values.
 
-Term nodes are immutable ``__slots__`` objects.  Each carries ``mask``, with
-bit v set for every variable x<v> in it, and a hash computed once from its
-children's stored hashes, so building, hashing and the linearity check cost
-O(children) per node and nothing walks a subterm again.
+Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): ``Var``, ``Otimes`` and ``Tri`` construct through one
+weak-valued table keyed by the kind and the children's identities, and
+``Unit()`` is ``UNIT``, so equal terms are one object and equality is
+identity in practice.  A term is freed with its last outside reference, and
+its table entry with it.  Nodes are immutable ``__slots__`` objects; each
+carries ``mask``, with bit v set for every variable x<v> in it, and a hash
+computed once from its children's stored hashes, so building, hashing and
+the linearity check cost O(children) per node and nothing walks a subterm
+again.
 
 Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i,
 ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at most ``MAX_NESTING``
@@ -21,6 +27,7 @@ parentheses deep, with i below ``poset.MAX_ELEMENTS``.
 from __future__ import annotations
 
 from typing import Union
+from weakref import ref
 
 from .errors import MalformedExpression
 from .poset import MAX_ELEMENTS, FinitePoset, _mask_elements
@@ -46,14 +53,41 @@ class _Node:
         return self._hash
 
 
+class _Entry(ref):
+    """Weak reference from the intern table to a node, holding its key."""
+
+    __slots__ = ("key",)
+
+
+#: The intern table: (kind, variable index) or (kind, *children's ids) to a
+#: weak reference to the one live node.  An entry lives as long as its node,
+#: and a node holds its children, so the ids in a key always name live
+#: children.
+_TABLE: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table=_TABLE) -> None:
+    # Called as an interned node dies.  A node interned since under the same
+    # key keeps its entry.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+def _intern(key: tuple, node: "_Term") -> None:
+    entry = _TABLE[key] = _Entry(node, _forget)
+    entry.key = key
+
+
 class _Term(_Node):
     """Term node: ``mask`` of its variables and a stored hash."""
 
-    __slots__ = ("mask",)
+    __slots__ = ("mask", "__weakref__")
     __hash__ = _Node.__hash__
 
     def __eq__(self, other):
-        # An explicit stack, so comparing deep terms does not recurse.
+        # Interned terms are equal exactly when identical; the structural walk
+        # is a safety net, and for distinct terms it stops at the hash.  An
+        # explicit stack, so comparing deep terms does not recurse.
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
@@ -71,9 +105,8 @@ class _Term(_Node):
 class Unit(_Term):
     __slots__ = ()
 
-    def __init__(self):
-        _set(self, "mask", 0)
-        _set(self, "_hash", hash((0,)))
+    def __new__(cls):
+        return UNIT
 
     def __repr__(self):
         return "Unit"
@@ -82,12 +115,19 @@ class Unit(_Term):
 class Var(_Term):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        if index < 0:
-            raise MalformedExpression(f"variable index {index} is negative")
-        _set(self, "index", index)
-        _set(self, "mask", 1 << index)
-        _set(self, "_hash", hash((1, index)))
+    def __new__(cls, index: int):
+        key = (cls, index)
+        entry = _TABLE.get(key)
+        node = entry and entry()
+        if node is None:
+            if index < 0:
+                raise MalformedExpression(f"variable index {index} is negative")
+            node = object.__new__(cls)
+            _set(node, "index", index)
+            _set(node, "mask", 1 << index)
+            _set(node, "_hash", hash((1, index)))
+            _intern(key, node)
+        return node
 
     def __repr__(self):
         return f"Var({self.index})"
@@ -97,18 +137,25 @@ class _Product(_Term):
     __slots__ = ("children",)
     _tag = 0
 
-    def __init__(self, children: tuple["Expression", ...]):
+    def __new__(cls, children: tuple["Expression", ...]):
         children = tuple(children)
-        mask = repeated = 0
-        for child in children:
-            repeated |= mask & child.mask
-            mask |= child.mask
-        if repeated:
-            v = (repeated & -repeated).bit_length() - 1
-            raise MalformedExpression(f"variable x{v} appears more than once")
-        _set(self, "children", children)
-        _set(self, "mask", mask)
-        _set(self, "_hash", hash((self._tag, children)))
+        key = (cls, *map(id, children))
+        entry = _TABLE.get(key)
+        node = entry and entry()
+        if node is None:
+            mask = repeated = 0
+            for child in children:
+                repeated |= mask & child.mask
+                mask |= child.mask
+            if repeated:
+                v = (repeated & -repeated).bit_length() - 1
+                raise MalformedExpression(f"variable x{v} appears more than once")
+            node = object.__new__(cls)
+            _set(node, "children", children)
+            _set(node, "mask", mask)
+            _set(node, "_hash", hash((cls._tag, children)))
+            _intern(key, node)
+        return node
 
 
 class Otimes(_Product):
@@ -129,7 +176,9 @@ class Tri(_Product):
 
 Expression = Union[Unit, Var, Otimes, Tri]
 
-UNIT = Unit()
+UNIT = object.__new__(Unit)
+_set(UNIT, "mask", 0)
+_set(UNIT, "_hash", hash((0,)))
 
 #: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser,
 #: ``normalize`` and ``repr`` recurse once per level; this keeps a parsed term
@@ -208,28 +257,46 @@ def is_normal(expr: Expression) -> bool:
     return True
 
 
-def evaluate_labeled(expr: Expression) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Interpret the term over its own variable labels.
+def up_sets(expr: Expression, memo: dict | None = None) -> dict[int, int]:
+    """Interpret the term over its own variable labels: the one evaluator.
 
-    Returns ``(rows, labels)``: the sorted label tuple and, aligned with it,
-    the mask of labels strictly above each label (bit v stands for x<v>).
-    Variables become singletons, ox disjoint union, tri join, unit the empty
-    poset.
+    Returns, per variable x<v> of the term, the mask of variables strictly
+    above it.  A fold: a variable is a singleton, ox merges its children's
+    maps (disjoint union), tri also puts each child below the variables of
+    the children after it (join), and the unit is empty.  With a ``memo``
+    (product term to map, shared across calls), each distinct product is
+    folded once; without one, a child's map is dropped once its parent's is
+    built.  The fold runs from an explicit stack, so depth costs no recursion.
     """
-    labels = variables(expr)
-    up = dict.fromkeys(labels, 0)
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _Product):
-            stack.extend(node.children)
-            if isinstance(node, Tri):
-                later = 0
-                for child in reversed(node.children):
-                    for v in _mask_elements(child.mask):
-                        up[v] |= later
-                    later |= child.mask
-    return tuple(up[v] for v in labels), labels
+    if not isinstance(expr, _Product):
+        return {expr.index: 0} if type(expr) is Var else {}
+    done: list[dict] = []  # maps of the products folded so far, in fold order
+    todo: list = [expr]  # products to fold and (product,) to combine
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            (node,) = node
+            up: dict = {}
+            later = 0
+            for kid in reversed(node.children):
+                if type(kid) is Var:
+                    up[kid.index] = later
+                elif isinstance(kid, _Product):
+                    part = done.pop()
+                    up.update({v: row | later for v, row in part.items()} if later else part)
+                if type(node) is Tri:
+                    later |= kid.mask
+            if memo is not None:
+                memo[node] = up
+            done.append(up)
+            continue
+        up = None if memo is None else memo.get(node)
+        if up is None:
+            todo.append((node,))
+            todo.extend([kid for kid in reversed(node.children) if isinstance(kid, _Product)])
+        else:
+            done.append(up)
+    return done[0]
 
 
 def evaluate(expr: Expression) -> FinitePoset:
@@ -239,10 +306,11 @@ def evaluate(expr: Expression) -> FinitePoset:
     """
     if not is_normal(expr):
         raise MalformedExpression("expression is not in canonical normal form")
-    rows, labels = evaluate_labeled(expr)
+    labels = variables(expr)
     if labels != tuple(range(len(labels))):
         raise MalformedExpression(f"variables {labels} are not contiguous from 0")
-    return FinitePoset(len(labels), rows)
+    up = up_sets(expr)
+    return FinitePoset(len(labels), tuple(map(up.__getitem__, labels)))
 
 
 # ---------------------------------------------------------------------------

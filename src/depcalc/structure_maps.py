@@ -16,38 +16,46 @@ degenerate interchanger.  The tree comes out simplified as it is built, with
 no separate pass: a composite drops an identity side, and a parallel node
 whose parts are all identities becomes one identity.
 
-The recursion runs on the row masks of the two posets and reuses the splits
-of ``decompose``: ``components`` for the target's layers, ``top_split`` for
-the source's, and ``normal_form`` for the expression at each Equiv leaf.
-``verify_proof`` deliberately does not: it re-evaluates every node's
-endpoints with ``evaluate_labeled``, a fold over the term that returns one
-up-set mask per variable, and tests inclusion row by row, so a fault in those
-shared splits cannot make a wrong derivation check out.
+The recursion runs on the two normal-form terms, which are hash-consed, so a
+memo key is two object hashes.  The terms already hold every split: the
+target's layers are the children of an ox, the source's top split is a tri's
+last child against the rest, and a sub-poset is the term restricted to a
+mask (``_restrict``).  Each side's term comes from ``decompose``, memoized
+per poset.  ``verify_proof`` deliberately does not use those splits: it
+evaluates every node's endpoints with ``up_sets``, a fold over the term that
+returns one up-set mask per variable (each distinct term once per call), and
+tests inclusion variable by variable, so a fault in the derivation's splits
+cannot make a wrong derivation check out.
 
 Proof nodes are immutable ``__slots__`` objects with a hash computed once from
 their children's.  Each node keeps its source and target once they are first
 read, and the checker's verdict once it is checked, so shared subtrees are
 neither rebuilt nor re-checked, and both records are freed with the node.
+Both are filled children first from an explicit stack; ``_derive`` and
+``format_proof`` still recurse once per level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import and_
+from itertools import repeat
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
 from .expression import (
+    UNIT,
     Expression,
+    Otimes,
+    Tri,
     _Node,
     _set,
-    evaluate_labeled,
     format_expression,
     ox,
     tri,
+    up_sets,
 )
-from .expressible import find_z, normal_form, top_split
-from .poset import FinitePoset, comparability_graph, components, is_inclusion
+from .expressible import decompose, find_z
+from .poset import FinitePoset, is_inclusion
 
 
 class _Proof(_Node):
@@ -176,18 +184,28 @@ def _subproofs(p: Proof) -> tuple:
 
 
 def _fill_endpoints(p: Proof) -> None:
-    if isinstance(p, Compose):
-        src, tgt = proof_source(p.left), proof_target(p.right)
-    elif isinstance(p, _Par):
-        make = ox if isinstance(p, OtimesPar) else tri
-        src, tgt = make(*map(proof_source, p.parts)), make(*map(proof_target, p.parts))
-    else:
-        a, b, c, d = map(proof_source, p.corners)
-        src = ox(tri(a, b), tri(c, d))
-        a, b, c, d = map(proof_target, p.corners)
-        tgt = tri(ox(a, c), ox(b, d))
-    _set(p, "_source", src)
-    _set(p, "_target", tgt)
+    # Children first, from an explicit stack, so depth costs no recursion.
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        unfilled = [q for q in _subproofs(node) if q._source is None]
+        if unfilled:
+            stack.extend(unfilled)
+            continue
+        stack.pop()
+        if isinstance(node, Compose):
+            src, tgt = node.left._source, node.right._target
+        elif isinstance(node, _Par):
+            make = ox if isinstance(node, OtimesPar) else tri
+            src = make(*(q._source for q in node.parts))
+            tgt = make(*(q._target for q in node.parts))
+        else:
+            a, b, c, d = (q._source for q in node.corners)
+            src = ox(tri(a, b), tri(c, d))
+            a, b, c, d = (q._target for q in node.corners)
+            tgt = tri(ox(a, c), ox(b, d))
+        _set(node, "_source", src)
+        _set(node, "_target", tgt)
 
 
 def proof_source(p: Proof) -> Expression:
@@ -204,29 +222,16 @@ def proof_target(p: Proof) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Derivation over row masks (row i is the mask of elements above element i)
+# Derivation over normal-form terms
 
-Rows = tuple  # of int masks, one per element up to the largest one in play
-
-
-def _restrict(rows: Rows, mask: int) -> Rows:
-    """The sub-poset on ``mask``."""
-    return tuple(rows[i] & mask if mask >> i & 1 else 0 for i in range(mask.bit_length()))
-
-
-def _union(rows: Rows, left: int, right: int) -> Rows:
-    """The disjoint union of the sub-posets on two disjoint masks."""
-    both = left | right
-    return tuple(
-        rows[i] & (left if left >> i & 1 else right) if both >> i & 1 else 0
-        for i in range(both.bit_length())
-    )
-
-
-def _join(rows: Rows, lower: int, upper: int) -> Rows:
-    """The join of the sub-posets on two disjoint masks, ``lower`` below ``upper``."""
-    union = _union(rows, lower, upper)
-    return tuple(row | upper if lower >> i & 1 else row for i, row in enumerate(union))
+def _restrict(e: Expression, mask: int) -> Expression:
+    """The normal form of the sub-poset of ``e`` on the variables in ``mask``."""
+    if e.mask & ~mask == 0:
+        return e
+    if e.mask & mask == 0:
+        return UNIT
+    make = ox if type(e) is Otimes else tri
+    return make(*map(_restrict, e.children, repeat(mask)))
 
 
 def _is_identity(p: Proof) -> bool:
@@ -250,51 +255,54 @@ def _par(kind: type, parts: tuple) -> Proof:
     return kind(parts)
 
 
-@lru_cache(maxsize=None)
-def _derive(mask: int, rows_a: Rows, rows_b: Rows) -> Proof:
+#: Bound of each memo cache here, like ``find_z``'s.
+_CACHE_SIZE = 1 << 18
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _derive(a: Expression, b: Expression) -> Proof:
     # Memoized: sweeps over many poset pairs hit the same subproblems.
-    def sub(part: int) -> Proof:
-        return _derive(part, _restrict(rows_a, part), _restrict(rows_b, part))
+    if a == b:
+        return Equiv(a, a)
 
-    if rows_a == rows_b:
-        e = normal_form(rows_a, comparability_graph(rows_a), mask)
-        assert not isinstance(e, int), "inputs must be expressible"
-        return Equiv(e, e)
+    if type(b) is Otimes:
+        # A loop, not a generator, so that a level costs no extra frame.
+        parts = []
+        for comp in b.children:
+            parts.append(_derive(_restrict(a, comp.mask), comp))
+        return _par(OtimesPar, tuple(parts))
 
-    comps_b = components(comparability_graph(rows_b), mask)
-    if len(comps_b) > 1:
-        return _par(OtimesPar, tuple(sub(c) for c in comps_b))
-
-    split_a = top_split(rows_a, mask)
-    if split_a is not None:
-        return _par(TriPar, tuple(sub(half) for half in split_a))
+    if type(a) is Tri:
+        lower, upper = tri(*a.children[:-1]), a.children[-1]
+        return _par(
+            TriPar,
+            (_derive(lower, _restrict(b, lower.mask)), _derive(upper, _restrict(b, upper.mask))),
+        )
 
     # Crossing case: the source splits as a disjoint union, the target as a
     # join, and the identity factors through the interchanger on the four
     # overlap blocks.
-    comps_a = components(comparability_graph(rows_a), mask)
-    split_b = top_split(rows_b, mask)
-    assert len(comps_a) > 1 and split_b is not None, "inputs must be expressible"
-    a1 = comps_a[0]
-    a2 = mask & ~a1
-    b1, b2 = split_b
-    blocks = (a1 & b1, a1 & b2, a2 & b1, a2 & b2)
+    assert type(a) is Otimes and type(b) is Tri, "inputs must be expressible"
+    a1, a2 = a.children[0], ox(*a.children[1:])
+    b1, b2 = tri(*b.children[:-1]), b.children[-1]
+    blocks = (a1.mask & b1.mask, a1.mask & b2.mask, a2.mask & b1.mask, a2.mask & b2.mask)
+    in_a = list(map(_restrict, (a1, a1, a2, a2), blocks))
+    in_b = list(map(_restrict, (b1, b2, b1, b2), blocks))
     step1 = _par(
         OtimesPar,
-        (
-            _derive(a1, _restrict(rows_a, a1), _join(rows_a, blocks[0], blocks[1])),
-            _derive(a2, _restrict(rows_a, a2), _join(rows_a, blocks[2], blocks[3])),
-        ),
+        (_derive(a1, tri(in_a[0], in_a[1])), _derive(a2, tri(in_a[2], in_a[3]))),
     )
-    middle = InterchangerSubst(*(sub(block) for block in blocks))
+    middle = InterchangerSubst(*map(_derive, in_a, in_b))
     step3 = _par(
         TriPar,
-        (
-            _derive(b1, _union(rows_b, blocks[0], blocks[2]), _restrict(rows_b, b1)),
-            _derive(b2, _union(rows_b, blocks[1], blocks[3]), _restrict(rows_b, b2)),
-        ),
+        (_derive(ox(in_b[0], in_b[2]), b1), _derive(ox(in_b[1], in_b[3]), b2)),
     )
     return _compose(_compose(step1, middle), step3)
+
+
+#: Each side's normal form, memoized per poset: sweeps derive from the same
+#: posets again and again.
+_normal_form = lru_cache(maxsize=_CACHE_SIZE)(decompose)
 
 
 def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
@@ -309,37 +317,50 @@ def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
         witness = find_z(side)
         if witness is not None:
             raise NotExpressible(witness)
-    return _derive((1 << p.size) - 1, p.rows, q.rows)
+    return _derive(_normal_form(p), _normal_form(q))
 
 
 def verify_proof(p: Proof) -> bool:
     """Check every node invariant; endpoints must evaluate to included posets."""
     try:
-        return _verify(p)
+        return _verify(p, {})
     except (DepcalcError, AssertionError):
         return False
 
 
-def _verify(p: Proof) -> bool:
-    # The verdict is kept on the node, so a subtree shared by several
-    # derivations is checked once.
-    verdict = p._verdict
-    if verdict is None:
-        verdict = _check(p)
-        _set(p, "_verdict", verdict)
-    return verdict
+def _verify(p: Proof, memo: dict) -> bool:
+    # A node's verdict is its own check and its children's verdicts, taken
+    # children first from an explicit stack, so depth costs no recursion.  It
+    # is kept on the node, so a subtree shared by several derivations is
+    # checked once; ``memo`` holds the up-sets of the terms this call has
+    # evaluated.
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            (node,) = node
+            _set(node, "_verdict", all(q._verdict for q in _subproofs(node)))
+        elif node._verdict is None:
+            if _check(node, memo):
+                stack.append((node,))
+                stack.extend(reversed(_subproofs(node)))
+            else:
+                _set(node, "_verdict", False)
+    return p._verdict
 
 
-def _check(p: Proof) -> bool:
-    rows_s, labels_s = evaluate_labeled(proof_source(p))
-    rows_t, labels_t = evaluate_labeled(proof_target(p))
-    if labels_s != labels_t or rows_s != tuple(map(and_, rows_s, rows_t)):
+def _check(p: Proof, memo: dict) -> bool:
+    """The node's own invariants: included endpoints and, per kind, its seam."""
+    source, target = proof_source(p), proof_target(p)
+    if source.mask != target.mask:
         return False
+    up_s, up_t = up_sets(source, memo), up_sets(target, memo)
     if isinstance(p, Equiv):
-        return rows_s == rows_t
-    if isinstance(p, Compose) and proof_target(p.left) != proof_source(p.right):
-        return False
-    return all(map(_verify, _subproofs(p)))
+        return up_s == up_t
+    for v, row in up_s.items():
+        if row & ~up_t[v]:
+            return False
+    return not isinstance(p, Compose) or proof_target(p.left) == proof_source(p.right)
 
 
 def _term_text():

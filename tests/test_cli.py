@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from depcalc import cli, from_pairs, parse_expression
+from depcalc import cli, derive_structure_map, from_pairs, parse_expression, verify_proof
 from depcalc.cli import EXIT_INTERNAL, main
 from depcalc.expression import MAX_NESTING
 from depcalc.polynomial import MAX_COMPOSE_ENTRIES
@@ -84,6 +84,22 @@ def test_decompose_deep_ox_tri_alternation_exits_zero(write, capsys):
     code, out, err = run(capsys, "derive", "--source", path, "--target", path)
     assert code == 0 and err == ""
     assert out == f"equiv: {alternating_nest(depth)} => {alternating_nest(depth)}\n"
+
+
+def test_derive_down_a_deep_ox_tri_alternation_exits_zero(write, capsys):
+    # 350 elements; the target adds 348 < 349, so the two sides differ only
+    # at the innermost of 349 alternating levels and the derivation descends
+    # through all of them.
+    depth = 349
+    pairs = [(k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1)]
+    source = from_pairs(depth + 1, pairs)
+    target = from_pairs(depth + 1, pairs + [(depth - 1, depth)])
+    code, out, err = run(capsys, "derive", "--source", write("s.json", to_json_dict(source)),
+                         "--target", write("t.json", to_json_dict(target)))
+    assert code == 0 and err == ""
+    assert out.startswith(f"otimes-par: {alternating_nest(depth)} => (ox x0 (tri x1 ")
+    assert len(out.splitlines()) > depth
+    assert verify_proof(derive_structure_map(source, target))
 
 
 def test_eval_roundtrips_poset_json(capsys):

@@ -2,7 +2,8 @@
 
 The library builds its own posets with the row algebra (substitution,
 relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
-relations that come from outside it.
+relations that come from outside it.  Derivation reads the normal-form terms
+only, never the poset splits that ``decompose`` runs on.
 """
 
 import ast
@@ -48,3 +49,19 @@ def test_from_pairs_is_called_only_at_input_boundaries():
         callers += _from_pairs_callers(path.stem, tree)
     assert set(callers) == FROM_PAIRS_CALLERS
     assert len(callers) == len(FROM_PAIRS_CALLERS)
+
+
+#: Poset splits that ``structure_maps`` must not import: its terms hold them.
+SPLITS = {"comparability_graph", "components", "top_split"}
+
+
+def test_structure_maps_imports_no_poset_split():
+    path = SOURCE / "structure_maps.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):  # e.g. poset.components
+            named.add(node.attr)
+    assert not named & SPLITS

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from depcalc import (
     Otimes,
     Tri,
     UNIT,
+    Unit,
     Var,
     chain,
     decompose,
@@ -19,7 +21,8 @@ from depcalc import (
     parse_expression,
     tri,
 )
-from depcalc.expression import MAX_NESTING, evaluate_labeled
+from depcalc import expression
+from depcalc.expression import MAX_NESTING, up_sets
 from depcalc.poset import MAX_ELEMENTS
 
 from conftest import all_posets, alternating_nest, oracle_evaluate, relation
@@ -35,7 +38,7 @@ def _relabel(expr, label):
 
 def test_evaluate_matches_the_pair_set_oracle():
     # Every normal form with at most three variables, on 0..n-1 and spread
-    # out to odd labels, where evaluate_labeled's rows are label masks.
+    # out to odd labels, where up_sets' rows are label masks.
     for n in range(4):
         for p in all_posets(n):
             expr = decompose(p)
@@ -44,9 +47,9 @@ def test_evaluate_matches_the_pair_set_oracle():
             assert relation(evaluate(expr)) == (n, rel)
             spread = _relabel(expr, lambda v: 2 * v + 1)
             order, rel = oracle_evaluate(spread)
-            rows, labels = evaluate_labeled(spread)
-            assert labels == tuple(sorted(order))
-            assert rows == tuple(sum(1 << j for i, j in rel if i == v) for v in labels)
+            up = up_sets(spread)
+            assert sorted(up) == sorted(order)
+            assert up == {v: sum(1 << j for i, j in rel if i == v) for v in order}
 
 
 def test_constructors_normalize():
@@ -74,11 +77,43 @@ def test_linearity_enforced():
 def test_equal_terms_built_apart_are_equal_values():
     text = "(ox x0 (tri x1 (ox x2 x3)) x4)"
     first, second = parse_expression(text), parse_expression(text)
-    assert first is not second
+    assert first is second
     assert first == second and hash(first) == hash(second)
     assert first != parse_expression("(ox x0 (tri x1 (ox x2 x3)) x5)")
     assert Var(3) != Tri((Var(3),)) and UNIT == type(UNIT)()
     assert first.mask == 0b11111 and Var(7).mask == 1 << 7 and UNIT.mask == 0
+
+
+def test_terms_are_interned():
+    text = "(tri x0 (ox x1 x2) x3)"
+    assert parse_expression(text) is parse_expression(text)
+    assert Unit() is UNIT and Var(5) is Var(5)
+    assert Otimes((Var(0), Var(1))) is ox(Var(1), Var(0))
+    assert Tri((Var(0), Var(1))) is not Otimes((Var(0), Var(1)))
+
+
+def test_rejected_terms_leave_no_table_entry():
+    x0 = Var(0)
+    gc.collect()
+    start = len(expression._TABLE)
+    for build in (lambda: Var(-1), lambda: Otimes((x0, x0))):
+        with pytest.raises(MalformedExpression):
+            build()
+    gc.collect()
+    assert len(expression._TABLE) == start
+    assert (Var, -1) not in expression._TABLE
+    assert (Otimes, id(x0), id(x0)) not in expression._TABLE
+
+
+def test_dropped_terms_leave_the_table():
+    gc.collect()
+    start = len(expression._TABLE)
+    terms = [tri(Var(k), ox(Var(k + 1), Var(k + 2))) for k in range(10_000)]
+    assert len(set(map(id, terms))) == 10_000
+    assert len(expression._TABLE) > start + 10_000
+    del terms
+    gc.collect()
+    assert len(expression._TABLE) == start
 
 
 def test_deep_terms_compare_without_recursion():
@@ -133,8 +168,8 @@ def test_term_attributes_the_bench_oracle_reads():
     assert type(UNIT).__name__ == "Unit" and repr(UNIT) == "Unit"
 
 
-def test_evaluate_labeled_keeps_no_cache():
-    assert not hasattr(evaluate_labeled, "cache_info")
+def test_up_sets_keeps_no_cache():
+    assert not hasattr(up_sets, "cache_info")
 
 
 def test_parse_format_roundtrip():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import json
 import random
 import tracemalloc
@@ -27,7 +28,8 @@ from depcalc import (
     verify_proof,
 )
 from depcalc import structure_maps
-from depcalc.expression import Var, evaluate_labeled
+from depcalc import expression
+from depcalc.expression import Var, up_sets
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
 from conftest import buildable_posets, packed
@@ -168,8 +170,28 @@ def test_proof_attributes_the_bench_oracle_reads():
 def test_structure_maps_keeps_two_memo_caches():
     assert not hasattr(structure_maps, "_simplify")
     assert not hasattr(structure_maps._verify, "cache_info")
-    assert not hasattr(evaluate_labeled, "cache_info")
-    assert hasattr(structure_maps._derive, "cache_info")
+    assert not hasattr(up_sets, "cache_info")
+    for cache in (structure_maps._derive, structure_maps._normal_form):
+        assert 0 < cache.cache_info().maxsize < float("inf")
+
+
+def test_cleared_caches_free_their_terms():
+    def clear():
+        structure_maps._derive.cache_clear()
+        structure_maps._normal_form.cache_clear()
+        gc.collect()
+
+    clear()
+    start = len(expression._TABLE)
+    for n in range(2, 5):
+        for p in buildable_posets(n):
+            proof = derive_structure_map(antichain(n), p)
+            assert verify_proof(proof)
+    del proof
+    gc.collect()
+    assert len(expression._TABLE) > start
+    clear()
+    assert len(expression._TABLE) == start
 
 
 def test_endpoints_and_verdict_stay_on_the_node():
@@ -186,18 +208,34 @@ def test_verifying_distinct_proofs_holds_no_memory():
         proof = Compose(InterchangerSubst(a, b, c, d), after)
         assert verify_proof(proof)
 
+    # The intern table's own storage is left out: a resize while tracing
+    # counts its new array but not the old one it frees.  The table's
+    # entries are counted instead.
+    lines, first = inspect.getsourcelines(expression._intern)
+    table = range(first, first + len(lines))
+
+    def traced_bytes():
+        return sum(
+            t.size
+            for t in tracemalloc.take_snapshot().traces
+            if not (t.traceback[0].filename == expression.__file__
+                    and t.traceback[0].lineno in table)
+        )
+
     check(0)
     gc.collect()
+    entries = len(expression._TABLE)
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
+        start = traced_bytes()
         for k in range(1, 2001):
             check(k)
         gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - start
+        grown = traced_bytes() - start
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+    assert len(expression._TABLE) == entries
 
 
 def test_completeness_small():
