@@ -18,7 +18,7 @@ from . import diagram as dg
 from . import polynomial as pl
 from . import poset as ps
 from .errors import DepcalcError, NotExpressible, NotInclusion
-from .expressible import Obstruction, decompose, find_z
+from .expressible import Obstruction, decompose
 from .expression import evaluate, format_expression, parse_expression
 from .operad import expressible_covers, intersect
 from .structure_maps import derive_structure_map, format_proof, proof_to_json_dict
@@ -53,7 +53,8 @@ def _print(text: str) -> None:
 
 def cmd_check(args) -> int:
     p = _load_poset(args.poset)
-    witness = find_z(p)
+    result = decompose(p)
+    witness = result if isinstance(result, Obstruction) else None
     if args.format == "json":
         payload = {
             "expressible": witness is None,

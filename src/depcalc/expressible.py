@@ -3,10 +3,13 @@
 A finite poset is expressible when it can be assembled from singletons using
 disjoint unions and joins (equivalently: it is series-parallel / N-free).
 The sole obstruction is a full embedding of the four-element zig-zag
-a < b > c < d; ``find_z`` searches for one, and ``decompose`` either produces
-the canonical normal-form expression of the poset or returns the obstruction
-it ran into.  Decomposition splits at the top: the elements lying strictly
-below every maximal element form the lower join factor.
+a < b > c < d; ``find_z`` searches for the least one, and ``decompose``
+either produces the canonical normal-form expression of the poset or returns
+that same obstruction.  Decomposition splits each part into its components
+or, when it is connected, at all of its series cuts in one pass, down to
+single elements; ``find_z`` runs only inside the parts that split neither
+way, the prime parts.  ``decompose`` is the one recognizer, memoized per
+poset.
 """
 
 from __future__ import annotations
@@ -67,86 +70,98 @@ def find_z(p: FinitePoset) -> Obstruction | None:
 
 
 def is_expressible(p: FinitePoset) -> bool:
-    return find_z(p) is None
+    return not isinstance(decompose(p), Obstruction)
 
 
+@lru_cache(maxsize=1 << 18)
 def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
-    """Expression in normal form with evaluate(result) = p, or the obstruction.
+    """Expression in normal form with evaluate(result) = p, or ``find_z(p)``.
 
     Variable indices are the poset's element indices.  Failure is a return
     value, not an exception, so callers branch on the result.
+
+    The obstruction comes from ``find_z`` run on the prime parts only.  The
+    zig-zag is prime (no two or three of its elements form an autonomous
+    set), so each zig-zag of p lies inside one prime part, and ``induced``
+    keeps element order, so the least of the parts' witnesses is p's least.
+    Memoized per poset: ``is_expressible``, ``depcalc check`` and
+    ``derive_structure_map`` all recognize through this one call.
     """
-    result = normal_form(p.rows, comparability_graph(p.rows), (1 << p.size) - 1)
-    if isinstance(result, int):
-        elems = _mask_elements(result)
+    rows = p.rows
+    result = normal_form(rows, comparability_graph(rows), (1 << p.size) - 1)
+    if not isinstance(result, list):
+        return result
+    witnesses = []
+    for part in result:
+        elems = _mask_elements(part)
         witness = find_z(induced(p, elems))
-        assert witness is not None, "split failed but no zig-zag found"
-        return Obstruction(tuple(elems[k] for k in witness.elements))
-    return result
+        assert witness is not None, "prime part without a zig-zag"
+        witnesses.append(tuple(elems[k] for k in witness.elements))
+    return Obstruction(min(witnesses))
 
 
-def normal_form(rows, neighbors, mask: int) -> Union[Expression, int]:
+def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
     """Normal-form expression of the sub-poset on ``mask``, variables named by element.
 
     ``rows`` are the elements' up-set masks and ``neighbors`` their
-    comparability masks.  Where some connected part splits neither into
-    components nor at its top, that part's mask is returned instead: it
-    holds a zig-zag.
+    comparability masks.  A part of two or more elements splits into its
+    components, or, when connected, at all of its series cuts at once
+    (``series_factors``).  A connected part with no series cut is prime: it
+    holds a zig-zag.  If any part is prime, the masks of all the prime parts
+    are returned, in expansion order, instead of an expression.
 
     The parts are expanded depth first from an explicit stack, so neither
     long chains nor deep alternations of ox and tri cost recursion depth.
-    Each mask peels its join factors off the top, then expands its bottom
-    (a variable or the components), then its factors from the lowest up.
     """
-    done: list[Expression] = []  # finished sub-expressions, in expansion order
+    done: list = []  # finished sub-expressions, in expansion order
     todo: list = [mask]  # masks to expand and (constructor, arity) to combine
+    primes: list[int] = []
     while todo:
         item = todo.pop()
         if not isinstance(item, int):
             make, arity = item
             args = done[-arity:]
             del done[-arity:]
-            done.append(make(*args))
+            done.append(None if primes else make(*args))
             continue
-        uppers = []
-        parts = ()
-        while item & (item - 1):
-            parts = components(neighbors, item)
-            if len(parts) > 1:
-                break
-            split = top_split(rows, item)
-            if split is None:
-                return item
-            item, upper = split
-            uppers.append(upper)
-        if uppers:
-            todo.append((tri, len(uppers) + 1))
-            todo.extend(uppers)  # the lowest factor is last, so it pops first
-        if len(parts) > 1:
-            todo.append((ox, len(parts)))
-            todo.extend(reversed(parts))
-        else:
+        if not item & (item - 1):
             done.append(Var(item.bit_length() - 1) if item else UNIT)
-    return done[0]
+            continue
+        parts, make = components(neighbors, item), ox
+        if len(parts) == 1:
+            parts, make = series_factors(rows, item), tri
+            if len(parts) == 1:
+                primes.append(item)
+                done.append(None)
+                continue
+        todo.append((make, len(parts)))
+        todo.extend(reversed(parts))  # the first part is last, so it pops first
+    return primes or done[0]
 
 
-def top_split(rows, mask: int) -> tuple[int, int] | None:
-    """The join split (lower, upper) of the sub-poset on ``mask``, or None.
+def series_factors(rows, mask: int) -> list[int]:
+    """The sub-poset on ``mask`` cut at every series cut, as masks, lowest first.
 
-    The lower part is the set of elements strictly below every maximal
-    element; the split exists when it is nonempty and lies below the whole
-    upper part.
+    A series cut splits the part into a lower set lying below all of the
+    rest.  Listing the elements by how many elements of the part lie above
+    them, most first, gives a linear extension (x < y means x has all of
+    y's up-set and y besides), and every lower set is a prefix of it: its
+    elements each have the rest above them, the rest's elements do not.  A
+    prefix is a lower set exactly when the AND of its rows holds the rest,
+    so one pass finds every cut.
     """
-    elems = _mask_elements(mask)
-    maxima = 0
-    for i in elems:
-        if rows[i] & mask == 0:
-            maxima |= 1 << i
-    lower = 0
-    for i in elems:
-        if rows[i] & maxima == maxima:
-            lower |= 1 << i
-    upper = mask & ~lower
-    if lower == 0 or any(rows[i] & upper != upper for i in _mask_elements(lower)):
-        return None
-    return lower, upper
+    order = sorted(_mask_elements(mask), key=lambda e: (rows[e] & mask).bit_count(),
+                   reverse=True)
+    factors = []
+    factor = 0
+    common = -1  # the AND of the rows of the prefix so far
+    rest = mask
+    for e in order:
+        bit = 1 << e
+        factor |= bit
+        rest ^= bit
+        common &= rows[e]
+        if not rest & ~common:  # always so after the last element
+            factors.append(factor)
+            factor = 0
+    return factors

@@ -10,7 +10,7 @@ exactly when they are equal values.
 
 Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): ``Var``, ``Otimes`` and ``Tri`` construct through one
-weak-valued table keyed by the kind and the children's identities, and
+weak-valued table keyed by the kind and the children tuple, and
 ``Unit()`` is ``UNIT``, so equal terms are one object and equality is
 identity in practice.  A term is freed with its last outside reference, and
 its table entry with it.  Nodes are immutable ``__slots__`` objects; each
@@ -59,10 +59,11 @@ class _Entry(ref):
     __slots__ = ("key",)
 
 
-#: The intern table: (kind, variable index) or (kind, *children's ids) to a
-#: weak reference to the one live node.  An entry lives as long as its node,
-#: and a node holds its children, so the ids in a key always name live
-#: children.
+#: The intern table: (kind, variable index) or (kind, children) to a weak
+#: reference to the one live node.  Children are interned, so two children
+#: tuples are equal exactly when they hold the same objects, and a key shares
+#: its node's children tuple.  An entry lives as long as its node, so its key
+#: keeps alive nothing the node does not already hold.
 _TABLE: dict[tuple, _Entry] = {}
 
 
@@ -139,7 +140,7 @@ class _Product(_Term):
 
     def __new__(cls, children: tuple["Expression", ...]):
         children = tuple(children)
-        key = (cls, *map(id, children))
+        key = (cls, children)
         entry = _TABLE.get(key)
         node = entry and entry()
         if node is None:

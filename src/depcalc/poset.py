@@ -32,25 +32,41 @@ ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the mill
 MAX_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
 class FinitePoset:
     """A strict partial order, transitively closed, on elements 0..size-1.
 
     ``rows[i]`` is the mask of the elements strictly above i.  Build values
     through :func:`from_pairs` or the constructors below, which guarantee
     closure; the constructor itself checks only the shape of ``rows``.
+    Values are immutable, compare and hash by ``(size, rows)``, and key the
+    memo caches of ``find_z`` and ``decompose``.
     """
 
-    size: int
-    rows: tuple[int, ...]
+    __slots__ = ("size", "rows")
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int, rows: tuple[int, ...]):
+        if size < 0:
             raise ValueError("size must be nonnegative")
-        if len(self.rows) != self.size:
-            raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
-        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.size):
+        if len(rows) != size:
+            raise ValueError(f"expected {size} rows, got {len(rows)}")
+        if rows and (min(rows) < 0 or max(rows) >> size):
             raise ValueError("relation rows out of range for size")
+        _set_size(self, size)
+        _set_rows(self, rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FinitePoset is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FinitePoset is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not FinitePoset:
+            return NotImplemented
+        return self.size == other.size and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.size, self.rows))
 
     def lt(self, i: int, j: int) -> bool:
         """True iff i < j in this poset."""
@@ -88,6 +104,11 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({self.size}, {self.pairs()!r})"
+
+
+# The slots' own setters: they write past the assignment guard above.
+_set_size = FinitePoset.size.__set__
+_set_rows = FinitePoset.rows.__set__
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:

@@ -20,12 +20,13 @@ The recursion runs on the two normal-form terms, which are hash-consed, so a
 memo key is two object hashes.  The terms already hold every split: the
 target's layers are the children of an ox, the source's top split is a tri's
 last child against the rest, and a sub-poset is the term restricted to a
-mask (``_restrict``).  Each side's term comes from ``decompose``, memoized
-per poset.  ``verify_proof`` deliberately does not use those splits: it
-evaluates every node's endpoints with ``up_sets``, a fold over the term that
-returns one up-set mask per variable (each distinct term once per call), and
-tests inclusion variable by variable, so a fault in the derivation's splits
-cannot make a wrong derivation check out.
+mask (``_restrict``).  Each side's term, or its zig-zag, comes from
+``decompose``, memoized per poset, which is also the recognizer: no separate
+``find_z`` scan runs on either side.  ``verify_proof`` deliberately does not
+use those splits: it evaluates every node's endpoints with ``up_sets``, a
+fold over the term that returns one up-set mask per variable (each distinct
+term once per call), and tests inclusion variable by variable, so a fault in
+the derivation's splits cannot make a wrong derivation check out.
 
 Proof nodes are immutable ``__slots__`` objects with a hash computed once from
 their children's.  Each node keeps its source and target once they are first
@@ -54,7 +55,7 @@ from .expression import (
     tri,
     up_sets,
 )
-from .expressible import decompose, find_z
+from .expressible import Obstruction, decompose
 from .poset import FinitePoset, is_inclusion
 
 
@@ -255,7 +256,7 @@ def _par(kind: type, parts: tuple) -> Proof:
     return kind(parts)
 
 
-#: Bound of each memo cache here, like ``find_z``'s.
+#: Bound of the memo cache here, like ``decompose``'s.
 _CACHE_SIZE = 1 << 18
 
 
@@ -300,11 +301,6 @@ def _derive(a: Expression, b: Expression) -> Proof:
     return _compose(_compose(step1, middle), step3)
 
 
-#: Each side's normal form, memoized per poset: sweeps derive from the same
-#: posets again and again.
-_normal_form = lru_cache(maxsize=_CACHE_SIZE)(decompose)
-
-
 def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
     """A derivation witnessing the inclusion p -> q between expressible posets.
 
@@ -313,11 +309,13 @@ def derive_structure_map(p: FinitePoset, q: FinitePoset) -> Proof:
     """
     if not is_inclusion(p, q):
         raise NotInclusion(p, q)
+    terms = []
     for side in (p, q):
-        witness = find_z(side)
-        if witness is not None:
-            raise NotExpressible(witness)
-    return _derive(_normal_form(p), _normal_form(q))
+        term = decompose(side)
+        if isinstance(term, Obstruction):
+            raise NotExpressible(term)
+        terms.append(term)
+    return _derive(*terms)
 
 
 def verify_proof(p: Proof) -> bool:

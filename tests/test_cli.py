@@ -4,7 +4,18 @@ import time
 
 import pytest
 
-from depcalc import cli, derive_structure_map, from_pairs, parse_expression, verify_proof
+from depcalc import (
+    ZIGZAG,
+    act,
+    cli,
+    derive_structure_map,
+    disjoint_union,
+    from_pairs,
+    join,
+    parse_expression,
+    singleton,
+    verify_proof,
+)
 from depcalc.cli import EXIT_INTERNAL, main
 from depcalc.expression import MAX_NESTING
 from depcalc.polynomial import MAX_COMPOSE_ENTRIES
@@ -62,6 +73,19 @@ def test_decompose(write, capsys):
 def test_decompose_obstruction(write, capsys):
     code, out, _ = run(capsys, "decompose", "--poset", write("z.json", ZIGZAG_JSON))
     assert code == 1
+
+
+def test_check_and_decompose_report_the_same_least_zigzag(write, capsys):
+    # A zig-zag under a bottom element beside a second zig-zag, relabeled:
+    # the least witness lies in the second one, not in the part split first.
+    p = act([7, 6, 8, 2, 0, 4, 3, 5, 1], disjoint_union(join(singleton(), ZIGZAG), ZIGZAG))
+    path = write("p.json", to_json_dict(p))
+    outs = []
+    for command in ("check", "decompose"):
+        code, out, _ = run(capsys, command, "--poset", path, "--format", "json")
+        assert code == 1
+        outs.append(json.loads(out)["obstruction"])
+    assert outs == [[4, 3, 5, 1], [4, 3, 5, 1]]
 
 
 def test_decompose_long_chain_exits_zero(write, capsys):
@@ -541,7 +565,7 @@ def test_unexpected_exception_exits_seventy(write, capsys, monkeypatch, error):
     def broken(p):
         raise error
 
-    monkeypatch.setattr(cli, "find_z", broken)
+    monkeypatch.setattr(cli, "decompose", broken)
     code, out, err = run(capsys, "check", "--poset", write("p.json", EXPR_JSON))
     assert code == EXIT_INTERNAL == 70 and out == ""
     message = " ".join(str(error).splitlines())
@@ -552,7 +576,7 @@ def test_keyboard_interrupt_is_not_caught(write, monkeypatch):
     def interrupted(p):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "find_z", interrupted)
+    monkeypatch.setattr(cli, "decompose", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["check", "--poset", write("p.json", EXPR_JSON)])
 

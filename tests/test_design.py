@@ -52,7 +52,7 @@ def test_from_pairs_is_called_only_at_input_boundaries():
 
 
 #: Poset splits that ``structure_maps`` must not import: its terms hold them.
-SPLITS = {"comparability_graph", "components", "top_split"}
+SPLITS = {"comparability_graph", "components", "top_split", "series_factors"}
 
 
 def test_structure_maps_imports_no_poset_split():

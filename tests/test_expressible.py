@@ -6,9 +6,11 @@ import pytest
 from depcalc import (
     Obstruction,
     ZIGZAG,
+    act,
     antichain,
     chain,
     decompose,
+    disjoint_union,
     empty,
     evaluate,
     find_z,
@@ -16,7 +18,9 @@ from depcalc import (
     from_pairs,
     induced,
     is_expressible,
+    join,
     parse_expression,
+    singleton,
 )
 
 from conftest import all_posets, buildable_posets, oracle_find_z, random_sp_poset
@@ -158,3 +162,34 @@ def test_decompose_long_chain_peels_without_recursion():
     n = 2000
     expected = "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
     assert format_expression(decompose(chain(n))) == expected
+
+
+def test_decompose_obstruction_is_the_oracles_least_witness():
+    for n in range(6):
+        for p in all_posets(n):
+            result = decompose(p)
+            expected = _oracle_witness(p)
+            assert (result if isinstance(result, Obstruction) else None) == expected
+
+
+@pytest.mark.slow
+def test_decompose_obstruction_is_find_zs_six():
+    for p in all_posets(6):
+        result = decompose(p)
+        assert (result if isinstance(result, Obstruction) else None) == find_z(p)
+
+
+def test_decompose_reports_the_least_zigzag_not_the_first_part_split():
+    # The part holding a bottom element under a zig-zag is expanded first,
+    # but the least zig-zag lies in the other component.
+    p = act([7, 6, 8, 2, 0, 4, 3, 5, 1], disjoint_union(join(singleton(), ZIGZAG), ZIGZAG))
+    assert find_z(p) == Obstruction((4, 3, 5, 1))
+    assert decompose(p) == Obstruction((4, 3, 5, 1))
+
+
+def test_recognition_with_thousands_of_elements():
+    long_chain = chain(3000)
+    assert evaluate(decompose(long_chain)) == long_chain
+    assert is_expressible(random_sp_poset(random.Random(2048), 2048))
+    beside = disjoint_union(long_chain, ZIGZAG)
+    assert decompose(beside) == Obstruction((3000, 3001, 3002, 3003))

@@ -102,7 +102,7 @@ def test_rejected_terms_leave_no_table_entry():
     gc.collect()
     assert len(expression._TABLE) == start
     assert (Var, -1) not in expression._TABLE
-    assert (Otimes, id(x0), id(x0)) not in expression._TABLE
+    assert (Otimes, (x0, x0)) not in expression._TABLE
 
 
 def test_dropped_terms_leave_the_table():

@@ -27,8 +27,7 @@ from depcalc import (
     parse_expression,
     verify_proof,
 )
-from depcalc import structure_maps
-from depcalc import expression
+from depcalc import expressible, expression, structure_maps
 from depcalc.expression import Var, up_sets
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
@@ -168,17 +167,19 @@ def test_proof_attributes_the_bench_oracle_reads():
 
 
 def test_structure_maps_keeps_two_memo_caches():
+    # The derivation's two: _derive's own and the per-poset normal form, decompose.
     assert not hasattr(structure_maps, "_simplify")
+    assert not hasattr(structure_maps, "_normal_form")
     assert not hasattr(structure_maps._verify, "cache_info")
     assert not hasattr(up_sets, "cache_info")
-    for cache in (structure_maps._derive, structure_maps._normal_form):
+    for cache in (structure_maps._derive, expressible.decompose):
         assert 0 < cache.cache_info().maxsize < float("inf")
 
 
 def test_cleared_caches_free_their_terms():
     def clear():
         structure_maps._derive.cache_clear()
-        structure_maps._normal_form.cache_clear()
+        expressible.decompose.cache_clear()
         gc.collect()
 
     clear()
