@@ -17,7 +17,10 @@ over that poset; the tropical and polynomial algebras are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import compress, count, islice
+from operator import gt
 from typing import Sequence, Union
 
 from .errors import InvalidDiagram, InvalidPaths, MissingAssignment
@@ -48,6 +51,11 @@ class PartialPolygraph:
     def compatible(self, a: str, b: str) -> bool:
         return (a, b) in self.compat
 
+    @cached_property
+    def total(self) -> bool:
+        """Whether every pair of declared types is compatible."""
+        return all((a, b) in self.compat for a in self.types for b in self.types)
+
     def gen_map(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         return {name: (src, tgt) for name, src, tgt in self.generators}
 
@@ -71,9 +79,13 @@ def make_polygraph(
     compat: Sequence[tuple[str, str]],
     generators: dict[str, tuple[Sequence[str], Sequence[str]]],
 ) -> PartialPolygraph:
-    sym = frozenset(
-        pair for a, b in compat for pair in ((str(a), str(b)), (str(b), str(a)))
-    )
+    known = set(types)
+    pairs = [(str(a), str(b)) for a, b in compat]
+    for pair in pairs:
+        for t in pair:
+            if t not in known:
+                raise ValueError(f"compat pair {pair!r} uses unknown type {t!r}")
+    sym = frozenset(pairs + [(b, a) for a, b in pairs])
     gens = tuple(
         (name, tuple(src), tuple(tgt)) for name, (src, tgt) in sorted(generators.items())
     )
@@ -87,17 +99,17 @@ def total_polygraph(generators: dict[str, tuple[Sequence[str], Sequence[str]]],
     return make_polygraph(types, compat, generators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenCell:
     gen: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdCell:
     type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapCell:
     left: str
     right: str
@@ -134,7 +146,7 @@ class StageFailure:
 
 
 def _trace(diag: StringDiagram, check_compat: bool = False):
-    """Walk the layers; returns (stage type lists, instances, wiring relations).
+    """Walk the layers; returns (generator instances, wiring relations).
 
     Raises InvalidDiagram (with a ``stage`` attribute) on any structural
     mismatch; with check_compat also enforces stage validity under the
@@ -142,75 +154,72 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
     """
     pg = diag.polygraph
     gens = pg.gen_map()
+    compat = pg.compat
+    # Under a total relation only a stage holding an undeclared type can fail.
+    declared = frozenset(pg.types) if check_compat and pg.total else frozenset()
 
-    def fail(stage: int, reason: str):
-        err = InvalidDiagram(f"stage {stage}: {reason}")
-        err.stage = stage
-        return err
+    def fail(stage: int, reason: str) -> InvalidDiagram:
+        return InvalidDiagram(reason, stage)
 
     def check_stage(stage: int, types: list[str]):
-        if check_compat:
+        if check_compat and not (declared and declared.issuperset(types)):
             for a, b in zip(types, types[1:]):
-                if not pg.compatible(a, b):
+                if (a, b) not in compat:
                     raise fail(stage, f"types {a!r} and {b!r} are not compatible neighbors")
 
     cur_types = list(diag.inputs)
-    cur_prov: list[tuple[int, int] | None] = [None] * len(cur_types)
+    cur_prov: list[int | None] = [None] * len(cur_types)  # producing instance
     check_stage(0, cur_types)
-    stages = [tuple(cur_types)]
     instances: list[GenInstance] = []
     relations: list[tuple[int, int]] = []
 
     for layer_idx, layer in enumerate(diag.layers):
+        width = len(cur_types)
         pos = 0
         new_types: list[str] = []
-        new_prov: list[tuple[int, int] | None] = []
+        new_prov: list[int | None] = []
         for cell_idx, cell in enumerate(layer):
-            if isinstance(cell, IdCell):
-                if pos >= len(cur_types) or cur_types[pos] != cell.type:
+            kind = type(cell)
+            if kind is IdCell:
+                if pos >= width or cur_types[pos] != cell.type:
                     raise fail(layer_idx, f"identity cell expects {cell.type!r} at wire {pos}")
                 new_types.append(cell.type)
                 new_prov.append(cur_prov[pos])
                 pos += 1
-            elif isinstance(cell, SwapCell):
-                if pos + 1 >= len(cur_types) or (cur_types[pos], cur_types[pos + 1]) != (
-                    cell.left,
-                    cell.right,
-                ):
+            elif kind is SwapCell:
+                left, right = cell.left, cell.right
+                if pos + 1 >= width or cur_types[pos] != left or cur_types[pos + 1] != right:
                     raise fail(layer_idx, f"transposition mismatch at wire {pos}")
-                if check_compat and not pg.compatible(cell.left, cell.right):
+                if check_compat and (left, right) not in compat:
                     raise fail(layer_idx, f"transposition of incompatible types at wire {pos}")
-                new_types += [cell.right, cell.left]
-                new_prov += [cur_prov[pos + 1], cur_prov[pos]]
+                new_types += (right, left)
+                new_prov += (cur_prov[pos + 1], cur_prov[pos])
                 pos += 2
-            elif isinstance(cell, GenCell):
+            elif kind is GenCell:
                 if cell.gen not in gens:
                     raise fail(layer_idx, f"unknown generator {cell.gen!r}")
                 src, tgt = gens[cell.gen]
-                if tuple(cur_types[pos : pos + len(src)]) != src or pos + len(src) > len(
-                    cur_types
-                ):
+                end = pos + len(src)
+                if end > width or tuple(cur_types[pos:end]) != src:
                     raise fail(layer_idx, f"generator {cell.gen!r} input mismatch at wire {pos}")
                 element = len(instances)
-                for offset in range(len(src)):
-                    producer = cur_prov[pos + offset]
+                for producer in cur_prov[pos:end]:
                     if producer is not None:
-                        relations.append((producer[0], element))
+                        relations.append((producer, element))
                 instances.append(GenInstance(element, layer_idx, cell_idx, cell.gen))
-                new_types += list(tgt)
-                new_prov += [(element, port) for port in range(len(tgt))]
-                pos += len(src)
+                new_types += tgt
+                new_prov += [element] * len(tgt)
+                pos = end
             else:
                 raise fail(layer_idx, f"unknown cell {cell!r}")
-        if pos != len(cur_types):
-            raise fail(layer_idx, f"layer consumed {pos} of {len(cur_types)} wires")
+        if pos != width:
+            raise fail(layer_idx, f"layer consumed {pos} of {width} wires")
         cur_types, cur_prov = new_types, new_prov
         check_stage(layer_idx + 1, cur_types)
-        stages.append(tuple(cur_types))
 
     if cur_types != list(diag.outputs):
         raise fail(len(diag.layers), f"final stage {cur_types!r} != outputs {list(diag.outputs)!r}")
-    return stages, tuple(instances), relations
+    return tuple(instances), relations
 
 
 def validate_diagram(polygraph: PartialPolygraph, diag: StringDiagram):
@@ -222,13 +231,13 @@ def validate_diagram(polygraph: PartialPolygraph, diag: StringDiagram):
     try:
         _trace(probe, check_compat=True)
     except InvalidDiagram as err:
-        return StageFailure(getattr(err, "stage", 0), str(err))
+        return StageFailure(err.stage, err.reason)
     return True
 
 
 def edge_poset(diag: StringDiagram) -> tuple[FinitePoset, tuple[GenInstance, ...]]:
     """Dependency poset on generator instances, in (layer, position) order."""
-    _, instances, relations = _trace(diag)
+    instances, relations = _trace(diag)
     return from_pairs(len(instances), relations), instances
 
 
@@ -438,134 +447,135 @@ def layout_dag(
     """Layer a closed wiring (src_node, src_port, dst_node, dst_port) list.
 
     Every generator port must be wired exactly once; fails with InvalidDiagram
-    on cyclic wiring or when a needed transposition is incompatible.
+    on cyclic wiring or when a needed transposition is incompatible.  Each
+    distinct cell is built once and shared, so the layout costs a few steps
+    per emitted cell; its result is still checked by validate_diagram.
     """
     gens = polygraph.gen_map()
     n = len(nodes)
-    for v, name in enumerate(nodes):
+    for name in nodes:
         if name not in gens:
             raise InvalidDiagram(f"unknown generator {name!r}")
-    in_wires: list[dict[int, int]] = [dict() for _ in range(n)]
-    out_wires: list[dict[int, int]] = [dict() for _ in range(n)]
+    # The wire id at each input and output port of each node, by port.
+    ins: list[list[int | None]] = [[None] * len(gens[name][0]) for name in nodes]
+    outs: list[list[int | None]] = [[None] * len(gens[name][1]) for name in nodes]
     for w, (u, up, v, vp) in enumerate(wires):
-        if not (0 <= up < len(gens[nodes[u]][1])) or not (0 <= vp < len(gens[nodes[v]][0])):
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidDiagram(f"wire {w} references a missing node")
+        if not (0 <= up < len(outs[u])) or not (0 <= vp < len(ins[v])):
             raise InvalidDiagram(f"wire {w} references a missing port")
-        if up in out_wires[u] or vp in in_wires[v]:
+        if outs[u][up] is not None or ins[v][vp] is not None:
             raise InvalidDiagram(f"wire {w} reuses an already wired port")
-        out_wires[u][up] = w
-        in_wires[v][vp] = w
+        outs[u][up] = ins[v][vp] = w
     for v, name in enumerate(nodes):
-        src, tgt = gens[name]
-        if len(in_wires[v]) != len(src) or len(out_wires[v]) != len(tgt):
+        if None in ins[v] or None in outs[v]:
             raise InvalidDiagram(f"node {v} ({name!r}) has unwired ports")
+    consumer = [v for _, _, v, _ in wires]
 
     # Longest-path layering, in one pass over a topological order (Kahn's
     # algorithm): a node is placed once every producer feeding it is.
     level = [0] * n
-    waiting = [len(in_wires[v]) for v in range(n)]
+    waiting = [len(ws) for ws in ins]
     placed = [v for v in range(n) if not waiting[v]]
     for u in placed:
-        for w in out_wires[u].values():
-            v = wires[w][2]
+        for w in outs[u]:
+            v = consumer[w]
             level[v] = max(level[v], level[u] + 1)
             waiting[v] -= 1
             if not waiting[v]:
                 placed.append(v)
     if len(placed) < n:
         raise InvalidDiagram("wiring is cyclic")
-    depth = 1 + max(level, default=-1) if n else 0
+    rows: list[list[int]] = [[] for _ in range(1 + max(level, default=-1))]
+    for v in range(n):
+        rows[level[v]].append(v)
 
-    wire_type = {w: gens[nodes[u]][1][up] for w, (u, up, _, _) in enumerate(wires)}
+    gen_cells = {name: GenCell(name) for name in gens}
+    id_cells = {t: IdCell(t) for t in polygraph.types}
+    wire_cell = [id_cells[gens[nodes[u]][1][up]] for u, up, _, _ in wires]
+    swaps: dict[tuple[str, str], SwapCell] = {}
+    rank = [0] * len(wires)
+    pulled = [False] * n
     layers: list[tuple[Cell, ...]] = []
     current: list[int] = []  # wire ids
 
-    for k in range(depth):
-        row_nodes = [v for v in range(n) if level[v] == k]
-        consuming = [v for v in row_nodes if in_wires[v]]
-        fresh = [v for v in row_nodes if not in_wires[v]]
-
+    for k, row in enumerate(rows):
         # Target wire order: pull each consuming node's inputs together at the
         # position of its earliest input, keeping passthrough wires in place.
-        node_inputs = {
-            v: [in_wires[v][port] for port in sorted(in_wires[v])] for v in consuming
-        }
-        owner = {w: v for v, ws in node_inputs.items() for w in ws}
         target: list[int] = []
-        placed: set[int] = set()
         for w in current:
-            if w in placed:
-                continue
-            v = owner.get(w)
-            if v is None:
+            v = consumer[w]
+            if level[v] != k:
                 target.append(w)
-            else:
-                target.extend(node_inputs[v])
-                placed.update(node_inputs[v])
-
-        layers.extend(_bubble_layers(polygraph, current, target, wire_type))
-        current = list(target)
+            elif not pulled[v]:
+                target += ins[v]
+                pulled[v] = True
+        if target != current:
+            for r, w in enumerate(target):
+                rank[w] = r
+            work = [rank[w] for w in current]
+            layers += _bubble_layers(polygraph, work, [wire_cell[w] for w in target], swaps)
 
         cells: list[Cell] = []
-        new_current: list[int] = []
-        pos = 0
-        while pos < len(current):
-            w = current[pos]
-            v = owner.get(w)
-            if v is None:
-                cells.append(IdCell(wire_type[w]))
-                new_current.append(w)
-                pos += 1
-            else:
-                cells.append(GenCell(nodes[v]))
-                new_current.extend(out_wires[v][port] for port in sorted(out_wires[v]))
-                pos += len(node_inputs[v])
-        for v in fresh:
-            cells.append(GenCell(nodes[v]))
-            new_current.extend(out_wires[v][port] for port in sorted(out_wires[v]))
+        current = []
+        for w in target:
+            v = consumer[w]
+            if level[v] != k:
+                cells.append(wire_cell[w])
+                current.append(w)
+            elif w == ins[v][0]:  # the node's inputs follow, in port order
+                cells.append(gen_cells[nodes[v]])
+                current += outs[v]
+        for v in row:
+            if not ins[v]:
+                cells.append(gen_cells[nodes[v]])
+                current += outs[v]
         layers.append(tuple(cells))
-        current = new_current
 
     if current:
         raise InvalidDiagram("dangling wires after the final layer")
     result = StringDiagram(polygraph, (), (), tuple(layers))
     verdict = validate_diagram(polygraph, result)
     if verdict is not True:
-        raise InvalidDiagram(f"layout produced an invalid diagram: {verdict.reason}")
+        raise InvalidDiagram(f"layout produced an invalid diagram: stage {verdict.stage}: "
+                             f"{verdict.reason}")
     return result
 
 
 def _bubble_layers(
     polygraph: PartialPolygraph,
-    current: Sequence[int],
-    target: Sequence[int],
-    wire_type: dict[int, str],
+    work: list[int],
+    ids: list[IdCell],
+    swaps: dict[tuple[str, str], SwapCell],
 ) -> list[tuple[Cell, ...]]:
-    """Adjacent-transposition layers turning one wire order into another."""
-    rank = {w: k for k, w in enumerate(target)}
-    work = list(current)
+    """Adjacent-transposition layers sorting the wire ranks ``work`` in place.
+
+    Each layer swaps every descent that does not overlap the swap to its left.
+    ``ids[r]`` is the identity cell of rank r; ``swaps`` maps each type pair
+    found compatible to its one transposition cell.
+    """
+    goal = list(range(len(work)))
     layers: list[tuple[Cell, ...]] = []
-    while work != list(target):
-        cells: list[Cell] = []
-        pos = 0
-        moved = False
-        while pos < len(work):
-            if pos + 1 < len(work) and rank[work[pos]] > rank[work[pos + 1]]:
-                a, b = work[pos], work[pos + 1]
-                ta, tb = wire_type[a], wire_type[b]
-                if not polygraph.compatible(ta, tb):
-                    raise InvalidDiagram(
-                        f"required transposition of {ta!r} and {tb!r} is blocked"
-                    )
-                cells.append(SwapCell(ta, tb))
-                work[pos], work[pos + 1] = b, a
-                pos += 2
-                moved = True
-            else:
-                cells.append(IdCell(wire_type[work[pos]]))
-                pos += 1
-        if not moved:
+    while work != goal:
+        descents = list(compress(count(), map(gt, work, islice(work, 1, None))))
+        if not descents:
             raise InvalidDiagram("bubble routing stalled")
-        layers.append(tuple(cells))
+        cells: list[Cell | None] = list(map(ids.__getitem__, work))
+        for i in descents:
+            if cells[i] is None:  # wire i moved in the swap to its left
+                continue
+            a, b = work[i], work[i + 1]
+            pair = ids[a].type, ids[b].type
+            swap = swaps.get(pair)
+            if swap is None:
+                if not polygraph.compatible(*pair):
+                    raise InvalidDiagram(
+                        f"required transposition of {pair[0]!r} and {pair[1]!r} is blocked"
+                    )
+                swap = swaps[pair] = SwapCell(*pair)
+            work[i], work[i + 1] = b, a
+            cells[i], cells[i + 1] = swap, None
+        layers.append(tuple(filter(None, cells)))  # drop the slots swaps took
     return layers
 
 
@@ -575,24 +585,17 @@ def diagram_realizing(p: FinitePoset) -> tuple[PartialPolygraph, StringDiagram]:
     Element i becomes a box with one input per incoming cover and one output
     per outgoing cover, wired along the covers; instance names are g<i>.
     """
-    covers = transitive_reduction(p)
     in_deg = [0] * p.size
     out_deg = [0] * p.size
-    for i, j in covers:
+    wires = []
+    for i, j in transitive_reduction(p):
+        wires.append((i, out_deg[i], j, in_deg[j]))
         out_deg[i] += 1
         in_deg[j] += 1
-    generators = {
-        f"g{e}": (["w"] * in_deg[e], ["w"] * out_deg[e]) for e in range(p.size)
-    }
-    pg = total_polygraph(generators)
-    out_seen = [0] * p.size
-    in_seen = [0] * p.size
-    wires = []
-    for i, j in covers:
-        wires.append((i, out_seen[i], j, in_seen[j]))
-        out_seen[i] += 1
-        in_seen[j] += 1
     nodes = [f"g{e}" for e in range(p.size)]
+    pg = total_polygraph(
+        {name: (["w"] * in_deg[e], ["w"] * out_deg[e]) for e, name in enumerate(nodes)}
+    )
     return pg, layout_dag(pg, nodes, wires)
 
 
@@ -606,10 +609,12 @@ def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
         isinstance(entry, dict) for entry in data["generators"].values()
     ):
         raise ValueError("'generators' must map names to objects with 'src' and 'tgt'")
+    generators = {}
+    for name, entry in data["generators"].items():
+        if not all(isinstance(entry.get(key), list) for key in ("src", "tgt")):
+            raise ValueError(f"generator {name!r} needs 'src' and 'tgt' lists of types")
+        generators[str(name)] = (entry["src"], entry["tgt"])
     compat = [tuple(pair) for pair in data.get("compat", [])]
-    generators = {
-        str(name): (entry["src"], entry["tgt"]) for name, entry in data["generators"].items()
-    }
     return make_polygraph([str(t) for t in data["types"]], compat, generators)
 
 

@@ -66,7 +66,16 @@ class NotExpressible(DepcalcError):
 
 
 class InvalidDiagram(DepcalcError):
-    """A string diagram is structurally inconsistent."""
+    """A string diagram is structurally inconsistent.
+
+    A failure found at a stage carries that ``stage`` and the bare ``reason``;
+    its message then reads ``stage N: reason``.
+    """
+
+    def __init__(self, reason: str, stage: int | None = None):
+        self.reason = reason
+        self.stage = stage
+        super().__init__(reason if stage is None else f"stage {stage}: {reason}")
 
 
 class MissingAssignment(DepcalcError):

@@ -479,6 +479,37 @@ def test_diagram_decorate_missing_assignment_exits_two(write, capsys):
     assert code == 2 and "error" in err
 
 
+def test_diagram_stage_lines_name_the_stage_once(write, capsys):
+    pg = write("pg.json", {"types": ["z"], "compat": [], "generators": {}})
+    diag = write("d.json", {"input": ["z", "z"], "output": ["z", "z"], "layers": []})
+    code, out, _ = run(capsys, "diagram", "validate", "--polygraph", pg, "--diagram", diag)
+    assert code == 1
+    assert out == "invalid at stage 0: types 'z' and 'z' are not compatible neighbors\n"
+
+    short = write("short.json", {"input": ["z"], "output": ["z", "z"], "layers": [[{"id": "z"}]]})
+    code, _, err = run(capsys, "diagram", "edge-poset", "--polygraph", pg, "--diagram", short)
+    assert code == 2
+    assert err == "error: stage 1: final stage ['z'] != outputs ['z', 'z']\n"
+
+
+@pytest.mark.parametrize(
+    "polygraph, message",
+    [
+        ({"types": ["w"], "compat": [["w", "q"]], "generators": {}},
+         "error: compat pair ('w', 'q') uses unknown type 'q'\n"),
+        ({"types": ["w"], "generators": {"a": {"tgt": ["w"]}}},
+         "error: generator 'a' needs 'src' and 'tgt' lists of types\n"),
+        ({"types": ["w"], "generators": {"a": {"src": 3, "tgt": []}}},
+         "error: generator 'a' needs 'src' and 'tgt' lists of types\n"),
+    ],
+)
+def test_bad_polygraph_exits_two_with_one_line(write, capsys, polygraph, message):
+    diag = write("d.json", {"input": [], "output": [], "layers": []})
+    code, _, err = run(capsys, "diagram", "validate", "--polygraph", write("pg.json", polygraph),
+                       "--diagram", diag)
+    assert (code, err) == (2, message)
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "--poset", "/nonexistent/p.json")
     assert code == 2 and "error" in err

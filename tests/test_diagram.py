@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from depcalc import (
     GenCell,
     IdCell,
     InvalidDiagram,
+    PartialPolygraph,
     InvalidPaths,
     MissingAssignment,
     PolynomialAlgebra,
@@ -39,7 +41,7 @@ from depcalc import (
 )
 from depcalc.diagram import polygraph_from_json_dict
 
-from conftest import all_posets, diagram_polygraph, random_diagram
+from conftest import all_posets, diagram_polygraph, random_diagram, random_sp_poset
 
 TROP = TropicalAlgebra()
 
@@ -101,6 +103,7 @@ def test_validate_reports_first_failing_stage():
     verdict = validate_diagram(pg, mismatch)
     assert not verdict
     assert verdict.stage == 0
+    assert verdict.reason == "identity cell expects 'q' at wire 0"
 
 
 def test_validate_checks_compatibility():
@@ -395,10 +398,14 @@ def test_layout_dag_errors():
         [("u", "m"), ("m", "v")],
         {"s": ([], ["u", "m", "v"]), "t": (["v", "m", "u"], [])},
     )
-    with pytest.raises(InvalidDiagram):
+    with pytest.raises(InvalidDiagram, match="transposition of 'u' and 'v' is blocked"):
         layout_dag(
             pg2, ["s", "t"], [(0, 0, 1, 2), (0, 1, 1, 1), (0, 2, 1, 0)]
         )
+    # node indices outside 0..len(nodes)-1, at either end of a wire
+    for wire in [(0, 0, -1, 0), (0, 0, 5, 0), (-1, 0, 0, 0), (2, 0, 0, 0)]:
+        with pytest.raises(InvalidDiagram, match="wire 0 references a missing node"):
+            layout_dag(pg, ["a"], [wire])
 
 
 def test_random_diagrams_are_valid():
@@ -415,3 +422,77 @@ def test_polygraph_json_generators_must_be_objects():
     for generators in (None, [], ["a"], {"a": None}, {"a": ["w"]}):
         with pytest.raises(ValueError, match="'generators' must map names"):
             polygraph_from_json_dict({"types": ["w"], "generators": generators})
+
+
+def test_polygraph_json_generator_entries_need_src_and_tgt_lists():
+    for entry in ({"tgt": ["w"]}, {"src": ["w"]}, {"src": 3, "tgt": ["w"]},
+                  {"src": "w", "tgt": ["w"]}, {"src": ["w"], "tgt": None}):
+        with pytest.raises(ValueError, match="generator 'a' needs 'src' and 'tgt' lists"):
+            polygraph_from_json_dict({"types": ["w"], "generators": {"a": entry}})
+
+
+def test_make_polygraph_rejects_undeclared_compat_types():
+    with pytest.raises(ValueError, match="compat pair \\('w', 'q'\\) uses unknown type 'q'"):
+        make_polygraph(["w"], [("w", "q")], {})
+    with pytest.raises(ValueError, match="unknown type 'q'"):
+        polygraph_from_json_dict({"types": ["w"], "compat": [["w", "q"]], "generators": {}})
+
+
+def test_total_compat_still_checks_undeclared_stage_types():
+    pg = total_polygraph({"a": (["w"], ["w"])})
+    assert pg.total
+    assert not make_polygraph(["u", "v"], [("u", "v")], {}).total
+    # an undeclared type on a wire is checked pairwise even when compat is total
+    verdict = validate_diagram(pg, StringDiagram(pg, ("q", "w"), ("q", "w"), ()))
+    assert not verdict and verdict.stage == 0
+    assert verdict.reason == "types 'q' and 'w' are not compatible neighbors"
+    # a relation that names an undeclared type is still total on the declared
+    # ones, and its extra pairs are honoured
+    wide = PartialPolygraph(("w",), frozenset({("w", "w"), ("q", "w"), ("w", "q")}), ())
+    assert wide.total
+    assert validate_diagram(wide, StringDiagram(wide, ("q", "w"), ("q", "w"), ())) is True
+    swapped = StringDiagram(wide, ("q", "w"), ("w", "q"), ((SwapCell("q", "w"),),))
+    assert validate_diagram(wide, swapped) is True
+    verdict = validate_diagram(wide, StringDiagram(wide, ("q", "q"), ("q", "q"), ()))
+    assert not verdict and verdict.stage == 0
+
+
+def test_stage_failures_carry_a_bare_reason():
+    pg = total_polygraph({"a": (["w"], ["w", "w"])})
+    bad = StringDiagram(pg, ("w",), ("w",), ((GenCell("a"),),))
+    verdict = validate_diagram(pg, bad)
+    assert (verdict.stage, verdict.reason) == (1, "final stage ['w', 'w'] != outputs ['w']")
+    with pytest.raises(InvalidDiagram) as caught:
+        edge_poset(bad)
+    assert str(caught.value) == "stage 1: final stage ['w', 'w'] != outputs ['w']"
+    assert (caught.value.stage, caught.value.reason) == (1, verdict.reason)
+
+
+def _realization_corpus():
+    for n in range(5):
+        yield from all_posets(n)
+    for n in (16, 64, 256):
+        for seed in range(3):
+            yield random_sp_poset(random.Random(n * 100 + seed), n, planted=seed == 2)
+
+
+#: sha256 over repr((layers, inputs, outputs, generators)) of diagram_realizing
+#: on the corpus above: the layout's exact cells, not just its edge poset.
+REALIZATION_DIGEST = "e11a6bd269504e5be8c8951aef1e302d704cbb6c48e7a061e9adf42db0335ff8"
+
+
+def test_diagram_realizing_output_is_unchanged():
+    digest = hashlib.sha256()
+    for p in _realization_corpus():
+        pg, diag = diagram_realizing(p)
+        record = repr((diag.layers, diag.inputs, diag.outputs, pg.generators))
+        digest.update(record.encode() + b"\n")
+    assert digest.hexdigest() == REALIZATION_DIGEST
+
+
+def test_realization_round_trips_at_scale():
+    p = random_sp_poset(random.Random(512), 512)
+    pg, diag = diagram_realizing(p)
+    q, instances = edge_poset(diag)
+    assert act([int(inst.name[1:]) for inst in instances], q) == p
+    assert validate_diagram(pg, diag) is True
