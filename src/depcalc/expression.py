@@ -11,21 +11,22 @@ exactly when they are equal values.
 Terms are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): ``Var``, ``Otimes`` and ``Tri`` construct through one
 weak-valued table keyed by the kind and the children tuple, and
-``Unit()`` is ``UNIT``, so equal terms are one object and equality is
-identity in practice.  A term is freed with its last outside reference, and
-its table entry with it.  Nodes are immutable ``__slots__`` objects; each
-carries ``mask``, with bit v set for every variable x<v> in it, and a hash
-computed once from its children's stored hashes, so building, hashing and
-the linearity check cost O(children) per node and nothing walks a subterm
-again.
+``Unit()`` is ``UNIT``, so equal terms are one object, and a term hashes
+and compares by identity, in C.  A term is freed with its last outside
+reference, and its table entry with it.  Nodes are immutable ``__slots__``
+objects; each carries ``mask``, with bit v set for every variable x<v> in
+it, and ``low``, its least variable, taken from a child, which ``ox`` sorts
+by.  So building, hashing and the linearity check cost O(children) per
+node, and nothing walks a subterm again.
 
-Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i,
-``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at most ``MAX_NESTING``
-parentheses deep, with i below ``poset.MAX_ELEMENTS``.
+Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i
+(ASCII digits only), ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at
+most ``MAX_NESTING`` parentheses deep, with i below ``poset.MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Union
 from weakref import ref
 
@@ -33,24 +34,19 @@ from .errors import MalformedExpression
 from .poset import MAX_ELEMENTS, FinitePoset, _mask_elements
 
 _set = object.__setattr__
+_low = attrgetter("low")
 
 
 class _Node:
-    """Immutable node with a stored hash: the base of terms and of proofs.
+    """Immutable ``__slots__`` node: the base of terms and of proofs."""
 
-    A subclass that defines ``__eq__`` must restate ``__hash__``.
-    """
-
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        return self._hash
 
 
 class _Entry(ref):
@@ -80,27 +76,9 @@ def _intern(key: tuple, node: "_Term") -> None:
 
 
 class _Term(_Node):
-    """Term node: ``mask`` of its variables and a stored hash."""
+    """Term node: ``mask`` of its variables, ``low``, the least; identity-hashed."""
 
-    __slots__ = ("mask", "__weakref__")
-    __hash__ = _Node.__hash__
-
-    def __eq__(self, other):
-        # Interned terms are equal exactly when identical; the structural walk
-        # is a safety net, and for distinct terms it stops at the hash.  An
-        # explicit stack, so comparing deep terms does not recurse.
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash or a.mask != b.mask:
-                return False
-            if isinstance(a, _Product):
-                if len(a.children) != len(b.children):
-                    return False
-                pairs.extend(zip(a.children, b.children))
-        return True
+    __slots__ = ("mask", "low", "__weakref__")
 
 
 class Unit(_Term):
@@ -126,7 +104,7 @@ class Var(_Term):
             node = object.__new__(cls)
             _set(node, "index", index)
             _set(node, "mask", 1 << index)
-            _set(node, "_hash", hash((1, index)))
+            _set(node, "low", index)
             _intern(key, node)
         return node
 
@@ -136,7 +114,6 @@ class Var(_Term):
 
 class _Product(_Term):
     __slots__ = ("children",)
-    _tag = 0
 
     def __new__(cls, children: tuple["Expression", ...]):
         children = tuple(children)
@@ -151,17 +128,21 @@ class _Product(_Term):
             if repeated:
                 v = (repeated & -repeated).bit_length() - 1
                 raise MalformedExpression(f"variable x{v} appears more than once")
+            # A child's own int, so the slot allocates none; a unit child's -1
+            # (hand-built terms only) takes the long way.
+            low = min(map(_low, children), default=-1)
+            if low < 0 < mask:
+                low = min(child.low for child in children if child.mask)
             node = object.__new__(cls)
             _set(node, "children", children)
             _set(node, "mask", mask)
-            _set(node, "_hash", hash((cls._tag, children)))
+            _set(node, "low", low)
             _intern(key, node)
         return node
 
 
 class Otimes(_Product):
     __slots__ = ()
-    _tag = 2
 
     def __repr__(self):
         return f"Otimes{self.children!r}"
@@ -169,7 +150,6 @@ class Otimes(_Product):
 
 class Tri(_Product):
     __slots__ = ()
-    _tag = 3
 
     def __repr__(self):
         return f"Tri{self.children!r}"
@@ -179,7 +159,7 @@ Expression = Union[Unit, Var, Otimes, Tri]
 
 UNIT = object.__new__(Unit)
 _set(UNIT, "mask", 0)
-_set(UNIT, "_hash", hash((0,)))
+_set(UNIT, "low", -1)
 
 #: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser,
 #: ``normalize`` and ``repr`` recurse once per level; this keeps a parsed term
@@ -191,10 +171,6 @@ MAX_NESTING = 200
 def variables(expr: Expression) -> tuple[int, ...]:
     """Sorted variable indices."""
     return _mask_elements(expr.mask)
-
-
-def _min_var(expr: Expression) -> int:
-    return (expr.mask & -expr.mask).bit_length() - 1
 
 
 def _product(kind: type, parts, key) -> Expression:
@@ -217,7 +193,7 @@ def _product(kind: type, parts, key) -> Expression:
 
 def ox(*parts: Expression) -> Expression:
     """Independent product; flattens, absorbs units, sorts by least variable."""
-    return _product(Otimes, parts, _min_var)
+    return _product(Otimes, parts, _low)
 
 
 def tri(*parts: Expression) -> Expression:
@@ -271,6 +247,9 @@ def up_sets(expr: Expression, memo: dict | None = None) -> dict[int, int]:
     """
     if not isinstance(expr, _Product):
         return {expr.index: 0} if type(expr) is Var else {}
+    up = None if memo is None else memo.get(expr)
+    if up is not None:
+        return up
     done: list[dict] = []  # maps of the products folded so far, in fold order
     todo: list = [expr]  # products to fold and (product,) to combine
     while todo:
@@ -338,7 +317,9 @@ def format_expression(expr: Expression) -> str:
 
 
 def _is_var_token(tok: str) -> bool:
-    return tok[:1] == "x" and tok[1:].isdigit()
+    # ASCII digits only: str.isdigit also accepts "²", "٣" and "０".
+    digits = tok[1:]
+    return tok[:1] == "x" and digits.isascii() and digits.isdigit()
 
 
 def parse_expression(text: str) -> Expression:

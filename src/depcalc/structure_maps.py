@@ -17,29 +17,35 @@ no separate pass: a composite drops an identity side, and a parallel node
 whose parts are all identities becomes one identity.
 
 The recursion runs on the two normal-form terms, which are hash-consed, so a
-memo key is two object hashes.  The terms already hold every split: the
+memo key is two identity hashes.  The terms already hold every split: the
 target's layers are the children of an ox, the source's top split is a tri's
 last child against the rest, and a sub-poset is the term restricted to a
-mask (``_restrict``).  Each side's term, or its zig-zag, comes from
-``decompose``, memoized per poset, which is also the recognizer: no separate
-``find_z`` scan runs on either side.  ``verify_proof`` deliberately does not
-use those splits: it evaluates every node's endpoints with ``up_sets``, a
-fold over the term that returns one up-set mask per variable (each distinct
-term once per call), and tests inclusion variable by variable, so a fault in
-the derivation's splits cannot make a wrong derivation check out.
+mask (``_restrict``).  Children kept in order from a normal product form a
+normal product, so neither the splits nor a restriction that cuts no child
+is renormalized.
+Each side's term, or its zig-zag, comes from ``decompose``, memoized per
+poset, which is also the recognizer: no separate ``find_z`` scan runs on
+either side.  ``verify_proof`` deliberately does not use those splits: it
+evaluates every node's endpoints with ``up_sets``, a fold over the term that
+returns one up-set mask per variable (each distinct term once per call), and
+tests inclusion variable by variable, so a fault in the derivation's splits
+cannot make a wrong derivation check out.  The one node it accepts without
+evaluating is an ``Equiv`` whose two sides are the same term: the identity.
 
 Proof nodes are immutable ``__slots__`` objects with a hash computed once from
-their children's.  Each node keeps its source and target once they are first
-read, and the checker's verdict once it is checked, so shared subtrees are
-neither rebuilt nor re-checked, and both records are freed with the node.
-Both are filled children first from an explicit stack; ``_derive`` and
+their children's; they are not interned, and compare field by field.  Each
+node keeps its source and target once they are first read, and the checker's
+verdict once it is checked, so shared subtrees are neither rebuilt nor
+re-checked, and both records are freed with the node.  Both are filled
+children first from an explicit stack.  Proof text composes each term's text
+from its children's, memoized over one call.  ``_derive`` and
 ``format_proof`` still recurse once per level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from operator import and_, invert
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
@@ -48,9 +54,10 @@ from .expression import (
     Expression,
     Otimes,
     Tri,
+    Var,
     _Node,
+    _Product,
     _set,
-    format_expression,
     ox,
     tri,
     up_sets,
@@ -60,11 +67,13 @@ from .poset import FinitePoset, is_inclusion
 
 
 class _Proof(_Node):
-    """Derivation node with a stored hash, endpoints and verdict."""
+    """Derivation node with a stored hash, endpoints and verdict; not interned."""
 
-    __slots__ = ("_source", "_target", "_verdict")
-    __hash__ = _Node.__hash__
+    __slots__ = ("_hash", "_source", "_target", "_verdict")
     _tag = 0
+
+    def __hash__(self):
+        return self._hash
 
     def _init(self, fields: tuple, source=None, target=None) -> None:
         _set(self, "_hash", hash((self._tag, *fields)))
@@ -226,17 +235,37 @@ def proof_target(p: Proof) -> Expression:
 # Derivation over normal-form terms
 
 def _restrict(e: Expression, mask: int) -> Expression:
-    """The normal form of the sub-poset of ``e`` on the variables in ``mask``."""
-    if e.mask & ~mask == 0:
+    """The normal form of the sub-poset of ``e`` on the variables in ``mask``.
+
+    Only children that straddle the mask are cut; if none is, what is kept is normal.
+    """
+    outside = ~mask
+    if e.mask & outside == 0:
         return e
     if e.mask & mask == 0:
         return UNIT
-    make = ox if type(e) is Otimes else tri
-    return make(*map(_restrict, e.children, repeat(mask)))
+    kept = []
+    straddled = False
+    for child in e.children:
+        if child.mask & mask:
+            if child.mask & outside:
+                child = _restrict(child, mask)
+                straddled = True
+            kept.append(child)
+    if len(kept) == 1:
+        return kept[0]
+    if straddled:
+        return (ox if type(e) is Otimes else tri)(*kept)
+    return type(e)(tuple(kept))
+
+
+def _run(kind: type, children: tuple) -> Expression:
+    """The ``kind`` product of a run of a normal ``kind`` product's children."""
+    return children[0] if len(children) == 1 else kind(children)
 
 
 def _is_identity(p: Proof) -> bool:
-    return isinstance(p, Equiv) and p.source == p.target
+    return type(p) is Equiv and p._source is p._target
 
 
 def _compose(left: Proof, right: Proof) -> Proof:
@@ -251,7 +280,7 @@ def _compose(left: Proof, right: Proof) -> Proof:
 def _par(kind: type, parts: tuple) -> Proof:
     """Parallel node; parts that are all identities make one identity."""
     if all(map(_is_identity, parts)):
-        src = (ox if kind is OtimesPar else tri)(*(c.source for c in parts))
+        src = (ox if kind is OtimesPar else tri)(*[c._source for c in parts])
         return Equiv(src, src)
     return kind(parts)
 
@@ -263,7 +292,7 @@ _CACHE_SIZE = 1 << 18
 @lru_cache(maxsize=_CACHE_SIZE)
 def _derive(a: Expression, b: Expression) -> Proof:
     # Memoized: sweeps over many poset pairs hit the same subproblems.
-    if a == b:
+    if a is b:
         return Equiv(a, a)
 
     if type(b) is Otimes:
@@ -274,7 +303,7 @@ def _derive(a: Expression, b: Expression) -> Proof:
         return _par(OtimesPar, tuple(parts))
 
     if type(a) is Tri:
-        lower, upper = tri(*a.children[:-1]), a.children[-1]
+        lower, upper = _run(Tri, a.children[:-1]), a.children[-1]
         return _par(
             TriPar,
             (_derive(lower, _restrict(b, lower.mask)), _derive(upper, _restrict(b, upper.mask))),
@@ -284,8 +313,8 @@ def _derive(a: Expression, b: Expression) -> Proof:
     # join, and the identity factors through the interchanger on the four
     # overlap blocks.
     assert type(a) is Otimes and type(b) is Tri, "inputs must be expressible"
-    a1, a2 = a.children[0], ox(*a.children[1:])
-    b1, b2 = tri(*b.children[:-1]), b.children[-1]
+    a1, a2 = a.children[0], _run(Otimes, a.children[1:])
+    b1, b2 = _run(Tri, b.children[:-1]), b.children[-1]
     blocks = (a1.mask & b1.mask, a1.mask & b2.mask, a2.mask & b1.mask, a2.mask & b2.mask)
     in_a = list(map(_restrict, (a1, a1, a2, a2), blocks))
     in_b = list(map(_restrict, (b1, b2, b1, b2), blocks))
@@ -332,6 +361,7 @@ def _verify(p: Proof, memo: dict) -> bool:
     # is kept on the node, so a subtree shared by several derivations is
     # checked once; ``memo`` holds the up-sets of the terms this call has
     # evaluated.
+    proof_source(p)  # fills every node's endpoints, children first
     stack = [p]
     while stack:
         node = stack.pop()
@@ -349,39 +379,49 @@ def _verify(p: Proof, memo: dict) -> bool:
 
 def _check(p: Proof, memo: dict) -> bool:
     """The node's own invariants: included endpoints and, per kind, its seam."""
-    source, target = proof_source(p), proof_target(p)
+    source, target = p._source, p._target
     if source.mask != target.mask:
         return False
+    if type(p) is Equiv and source is target:
+        return True  # the identity on a term, interned, so no evaluation
     up_s, up_t = up_sets(source, memo), up_sets(target, memo)
-    if isinstance(p, Equiv):
+    if type(p) is Equiv:
         return up_s == up_t
-    for v, row in up_s.items():
-        if row & ~up_t[v]:
-            return False
-    return not isinstance(p, Compose) or proof_target(p.left) == proof_source(p.right)
+    # Some variable's up-set in the source is not inside its up-set in the target.
+    if any(map(and_, up_s.values(), map(invert, map(up_t.__getitem__, up_s)))):
+        return False
+    return type(p) is not Compose or p.left._target is p.right._source
 
 
-def _term_text():
-    """format_expression memoized over one call: each distinct term once."""
-    memo: dict = {}
+class _Texts(dict):
+    """Term to ``format_expression`` text, memoized over one call.
 
-    def text(e: Expression) -> str:
-        s = memo.get(e)
-        if s is None:
-            s = memo[e] = format_expression(e)
-        return s
+    A miss lists the term's unformatted subterms, parents first (terms are
+    trees), and composes their texts in reverse, each from its children's.
+    """
 
-    return text
+    def __missing__(self, e: Expression) -> str:
+        todo = [e]
+        for node in todo:  # grows as it goes
+            if isinstance(node, _Product):
+                todo.extend([c for c in node.children if c not in self])
+        for node in reversed(todo):
+            if isinstance(node, _Product):
+                head = "(ox" if type(node) is Otimes else "(tri"
+                self[node] = " ".join([head, *map(self.__getitem__, node.children)]) + ")"
+            else:
+                self[node] = f"x{node.index}" if type(node) is Var else "e"
+        return self[e]
 
 
 def format_proof(p: Proof) -> str:
     """Indented derivation-tree text, one node kind per line."""
-    text = _term_text()
+    proof_source(p)  # fills every node's endpoints, children first
+    text = _Texts()
     lines: list[str] = []
 
     def emit(node: Proof, depth: int) -> None:
-        src = text(proof_source(node))
-        tgt = text(proof_target(node))
+        src, tgt = text[node._source], text[node._target]
         lines.append(f"{'  ' * depth}{_KIND[type(node)]}: {src} => {tgt}")
         for child in _subproofs(node):
             emit(child, depth + 1)
@@ -391,14 +431,11 @@ def format_proof(p: Proof) -> str:
 
 
 def proof_to_json_dict(p: Proof) -> dict:
-    text = _term_text()
+    proof_source(p)  # fills every node's endpoints, children first
+    text = _Texts()
 
     def node(q: Proof) -> dict:
-        out = {
-            "kind": _KIND[type(q)],
-            "source": text(proof_source(q)),
-            "target": text(proof_target(q)),
-        }
+        out = {"kind": _KIND[type(q)], "source": text[q._source], "target": text[q._target]}
         if not isinstance(q, Equiv):
             out["children"] = [node(c) for c in _subproofs(q)]
         return out

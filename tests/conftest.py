@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 from hypothesis import settings
 
 from depcalc import FinitePoset, PreconditionError, chains, empty, enumerate_posets, from_pairs
-from depcalc.expression import Tri, Unit, Var
+from depcalc.expression import Otimes, Tri, Unit, Var
 from depcalc.diagram import (
     GenCell,
     IdCell,
@@ -188,13 +188,79 @@ def oracle_evaluate(expr) -> tuple[tuple[int, ...], frozenset]:
         return (), frozenset()
     if isinstance(expr, Var):
         return (expr.index,), frozenset()
-    blocks = [oracle_evaluate(child) for child in expr.children]
+    kind = "tri" if isinstance(expr, Tri) else "ox"
+    return _oracle_product(kind, [oracle_evaluate(child) for child in expr.children])
+
+
+def relabel(expr, label):
+    """The term with each variable x<v> renamed x<label(v)>, built node by node."""
+    if isinstance(expr, Var):
+        return Var(label(expr.index))
+    if isinstance(expr, (Otimes, Tri)):
+        return type(expr)(tuple(relabel(child, label) for child in expr.children))
+    return expr
+
+
+def _oracle_product(kind: str, blocks):
+    """ox or tri of (variables, pair set) blocks; ValueError if a variable repeats."""
+    order = tuple(v for block, _ in blocks for v in block)
+    if len(set(order)) != len(order):
+        raise ValueError("a variable repeats")
     rel = set().union(*(block_rel for _, block_rel in blocks))
-    if isinstance(expr, Tri):
+    if kind == "tri":
         for a, (low, _) in enumerate(blocks):
             for high, _ in blocks[a + 1 :]:
                 rel |= {(x, y) for x in low for y in high}
-    return tuple(v for block, _ in blocks for v in block), frozenset(rel)
+    return order, frozenset(rel)
+
+
+def oracle_verify_proof(proof) -> bool:
+    """``verify_proof`` restated on pair sets.
+
+    Every node's endpoints are computed bottom-up: an Equiv leaf's with
+    ``oracle_evaluate``, any other node's from its children's with the ox and
+    tri pair-set products, the interchanger's as (a tri b) ox (c tri d) and
+    (a ox c) tri (b ox d).  A proof passes when every node does: its
+    endpoints repeat no variable and have the same variables; an Equiv's two
+    relations are equal, any other node's source relation lies inside its
+    target's; and a Compose's left target is its right source as a poset.
+    Uses no ``up_sets``, restriction or normal form.
+    """
+    ends: dict = {}  # id of a checked node -> its (source, target)
+
+    def endpoints(node):
+        if id(node) in ends:
+            return ends[id(node)]
+        kind = type(node).__name__
+        if kind == "Equiv":
+            src, tgt = oracle_evaluate(node.source), oracle_evaluate(node.target)
+        elif kind == "Compose":
+            (src, mid), (mid2, tgt) = endpoints(node.left), endpoints(node.right)
+            if (sorted(mid[0]), mid[1]) != (sorted(mid2[0]), mid2[1]):
+                raise ValueError("compose sides do not meet")
+        elif kind == "InterchangerSubst":
+            a, b, c, d = map(endpoints, node.corners)
+            src = _oracle_product("ox", [_oracle_product("tri", [a[0], b[0]]),
+                                         _oracle_product("tri", [c[0], d[0]])])
+            tgt = _oracle_product("tri", [_oracle_product("ox", [a[1], c[1]]),
+                                          _oracle_product("ox", [b[1], d[1]])])
+        else:
+            parts = [endpoints(part) for part in node.parts]
+            op = "ox" if kind == "OtimesPar" else "tri"
+            src = _oracle_product(op, [s for s, _ in parts])
+            tgt = _oracle_product(op, [t for _, t in parts])
+        if set(src[0]) != set(tgt[0]):
+            raise ValueError("endpoints differ in their variables")
+        if not (src[1] == tgt[1] if kind == "Equiv" else src[1] <= tgt[1]):
+            raise ValueError("not an inclusion")
+        ends[id(node)] = src, tgt
+        return src, tgt
+
+    try:
+        endpoints(proof)
+    except ValueError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=None)

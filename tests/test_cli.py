@@ -144,6 +144,13 @@ def test_eval_bad_expression_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["x²", "(ox x0 x¹)", "x٣", "x０"])
+def test_eval_non_ascii_digits_exit_two(capsys, text):
+    code, out, err = run(capsys, "eval", "--expr", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unexpected token ") and err.count("\n") == 1
+
+
 def test_derive(write, capsys):
     src = write("a.json", {"elements": 2, "relations": []})
     tgt = write("b.json", {"elements": 2, "relations": [[0, 1]]})

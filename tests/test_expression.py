@@ -25,15 +25,7 @@ from depcalc import expression
 from depcalc.expression import MAX_NESTING, up_sets
 from depcalc.poset import MAX_ELEMENTS
 
-from conftest import all_posets, alternating_nest, oracle_evaluate, relation
-
-
-def _relabel(expr, label):
-    if isinstance(expr, Var):
-        return Var(label(expr.index))
-    if isinstance(expr, (Otimes, Tri)):
-        return type(expr)(tuple(_relabel(child, label) for child in expr.children))
-    return expr
+from conftest import all_posets, alternating_nest, oracle_evaluate, relabel, relation
 
 
 def test_evaluate_matches_the_pair_set_oracle():
@@ -45,7 +37,7 @@ def test_evaluate_matches_the_pair_set_oracle():
             order, rel = oracle_evaluate(expr)
             assert sorted(order) == list(range(n))
             assert relation(evaluate(expr)) == (n, rel)
-            spread = _relabel(expr, lambda v: 2 * v + 1)
+            spread = relabel(expr, lambda v: 2 * v + 1)
             order, rel = oracle_evaluate(spread)
             up = up_sets(spread)
             assert sorted(up) == sorted(order)
@@ -186,6 +178,16 @@ def test_parse_errors():
     for text in ["", "(ox x0", "(foo x0 x1)", "x0 x1", "(ox x0 y1)"]:
         with pytest.raises(MalformedExpression):
             parse_expression(text)
+
+
+@pytest.mark.parametrize("text", ["x²", "(ox x0 x¹)", "x٣", "x０", "(tri x0 x٣)"])
+def test_parse_accepts_ascii_digits_only(text):
+    # str.isdigit accepts these: superscripts then failed in int(), and
+    # Arabic-Indic or fullwidth digits read as x3 and x0.
+    bad = next(tok for tok in text.replace("(", " ").replace(")", " ").split()
+               if not tok.isascii())
+    with pytest.raises(MalformedExpression, match=f"^unexpected token {bad!r}$"):
+        parse_expression(text)
 
 
 def test_parse_nesting_cap():

@@ -4,6 +4,8 @@ import inspect
 import json
 import random
 import tracemalloc
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,8 +18,10 @@ from depcalc import (
     OtimesPar,
     TriPar,
     ZIGZAG,
+    Obstruction,
     antichain,
     chain,
+    decompose,
     derive_structure_map,
     enumerate_posets,
     evaluate,
@@ -31,7 +35,7 @@ from depcalc import expressible, expression, structure_maps
 from depcalc.expression import Var, up_sets
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
-from conftest import buildable_posets, packed
+from conftest import buildable_posets, oracle_evaluate, oracle_verify_proof, packed, relabel
 
 INTER_DOMAIN = evaluate(parse_expression("(ox (tri x0 x1) (tri x2 x3))"))
 INTER_CODOMAIN = evaluate(parse_expression("(tri (ox x0 x2) (ox x1 x3))"))
@@ -324,3 +328,82 @@ def test_golden_corpus_output_is_unchanged():
         digest.update(json.dumps(proof_to_json_dict(proof), sort_keys=True).encode() + b"\n")
     assert crossings > 1000
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _subproofs(node):
+    if isinstance(node, Equiv):
+        return ()
+    if isinstance(node, Compose):
+        return (node.left, node.right)
+    return node.corners if isinstance(node, InterchangerSubst) else node.parts
+
+
+def _rebuild(node, children):
+    if isinstance(node, (Compose, InterchangerSubst)):
+        return type(node)(*children)
+    return type(node)(tuple(children))
+
+
+def _one_relation_away(term):
+    """Normal forms on the term's variables whose poset has one relation more or less."""
+    order, rel = oracle_evaluate(term)
+    labels = sorted(order)
+    at = {v: k for k, v in enumerate(labels)}
+    pairs = {(at[x], at[y]) for x, y in rel}
+    n = len(labels)
+    for x, y in permutations(range(n), 2):
+        changed = pairs ^ {(x, y)}
+        if (y, x) in changed or set(from_pairs(n, changed).pairs()) != changed:
+            continue  # not a strict order as it stands
+        other = decompose(from_pairs(n, changed))
+        if not isinstance(other, Obstruction):
+            yield relabel(other, labels.__getitem__)
+
+
+def _mutants(proof):
+    """(mutation, mutated proof) for every node of the proof where one applies."""
+    def here(node):
+        if isinstance(node, Compose):
+            yield "swap-compose", Compose(node.right, node.left)
+        elif isinstance(node, InterchangerSubst):
+            for i, j in combinations(range(4), 2):
+                corners = list(node.corners)
+                corners[i], corners[j] = corners[j], corners[i]
+                yield "swap-corners", InterchangerSubst(*corners)
+        elif isinstance(node, (OtimesPar, TriPar)):
+            yield "repeat-part", type(node)(node.parts + node.parts[:1])
+        elif node.source is node.target:
+            for target in _one_relation_away(node.source):
+                yield "identity-target", Equiv(node.source, target)
+
+    def walk(node):
+        yield from here(node)
+        kids = _subproofs(node)
+        for k, kid in enumerate(kids):
+            for kind, mutant in walk(kid):
+                yield kind, _rebuild(node, kids[:k] + (mutant,) + kids[k + 1:])
+
+    return walk(proof)
+
+
+def test_verify_proof_agrees_with_the_proof_oracle():
+    # On golden-corpus proofs and on mutations of them.  A mutated identity
+    # leaf relates two different terms, so the checker must evaluate it.
+    seen, rejected = Counter(), Counter()
+    for k, (p, q) in enumerate(_golden_corpus()):
+        if p.size == 4 and k % 25 or p.size > 4 and k % 3:
+            continue
+        try:
+            proof = derive_structure_map(p, q)
+        except (NotInclusion, NotExpressible):
+            continue
+        assert verify_proof(proof) and oracle_verify_proof(proof)
+        for kind, mutant in _mutants(proof):
+            verdict = verify_proof(mutant)
+            assert verdict == oracle_verify_proof(mutant), (kind, mutant)
+            seen[kind] += 1
+            rejected[kind] += not verdict
+    assert set(seen) == {"swap-compose", "swap-corners", "repeat-part", "identity-target"}
+    assert all(rejected.values())
+    assert rejected["identity-target"] == seen["identity-target"]
+    assert rejected["repeat-part"] == seen["repeat-part"]
