@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .expression import UNIT, Expression, Var, ox, tri
+from .expression import UNIT, Expression, Otimes, Tri, Var
 from .poset import (
     FinitePoset,
     _mask_elements,
@@ -112,6 +112,10 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
 
     The parts are expanded depth first from an explicit stack, so neither
     long chains nor deep alternations of ox and tri cost recursion depth.
+    Each product is built as a node, not through the normalizing ``ox`` and
+    ``tri``: components come by least element, a component is connected so
+    never an ``Otimes``, and a series factor has no series cut so is never a
+    ``Tri``.
     """
     done: list = []  # finished sub-expressions, in expansion order
     todo: list = [mask]  # masks to expand and (constructor, arity) to combine
@@ -122,14 +126,14 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
             make, arity = item
             args = done[-arity:]
             del done[-arity:]
-            done.append(None if primes else make(*args))
+            done.append(None if primes else make(tuple(args)))
             continue
         if not item & (item - 1):
             done.append(Var(item.bit_length() - 1) if item else UNIT)
             continue
-        parts, make = components(neighbors, item), ox
+        parts, make = components(neighbors, item), Otimes
         if len(parts) == 1:
-            parts, make = series_factors(rows, item), tri
+            parts, make = series_factors(rows, item), Tri
             if len(parts) == 1:
                 primes.append(item)
                 done.append(None)

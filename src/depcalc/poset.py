@@ -6,8 +6,8 @@ element (bit j of ``rows[i]`` set means i < j).  Keeping the closure
 materialized makes inclusion testing, chain enumeration, and the substitution
 product cheap; antisymmetry reduces to the absence of mutually related pairs
 and irreflexivity to no element in its own row.  Masks of the elements below
-each element come from one transpose, :func:`comparability_graph`, where an
-algorithm needs them.
+each element come from :func:`comparability_graph`, where an algorithm needs
+them.
 
 The three building operations fix a canonical block numbering (first argument
 first, blocks contiguous), so disjoint union and join are strictly associative
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
 from typing import Iterable, Iterator
@@ -123,25 +124,65 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
 def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     """Transitive closure of the given strict pairs as a poset.
 
-    Raises IndexError for out-of-range indices and CycleError if the closure
-    would violate irreflexivity or antisymmetry.
+    Raises IndexError for out-of-range indices and CycleError, with (m, m)
+    for m the least element on a cycle, if the closure would violate
+    irreflexivity or antisymmetry.  One depth-first search closes each
+    element at post-order from its closed successors (Goralčíková & Koubek,
+    1979), skipping any that another one reaches: a step per pair read and
+    per element, plus one per successor not skipped, which for a closed pair
+    list numbered along the order is one per cover.
     """
-    rows = [0] * size
+    succ = [0] * size
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise IndexError(f"pair ({i}, {j}) out of range for size {size}")
         if i == j:
             raise CycleError((i, j))
-        rows[i] |= 1 << j
-    for k in range(size):
-        rk = rows[k]
-        for i in range(size):
-            if rows[i] >> k & 1:
-                rows[i] |= rk
-    # Closed, a mutually related pair puts each of its elements in its own row.
-    for i, row in enumerate(rows):
-        if row >> i & 1:
-            raise CycleError((i, i))
+        succ[i] |= 1 << j
+    rows = [0] * size
+    seen = done = back = 0  # reached, closed, and targets of back edges
+    finished = []  # the post-order
+    for root in range(size):
+        if seen >> root & 1:
+            continue
+        stack = [root]
+        seen |= 1 << root
+        while stack:
+            e = stack[-1]
+            fresh = succ[e] & ~seen
+            if fresh:
+                low = fresh & -fresh
+                stack.append(low.bit_length() - 1)
+                seen |= low
+                continue
+            stack.pop()
+            back |= succ[e] & ~done  # reached, not closed: on the search path
+            done |= 1 << e
+            finished.append(e)
+            row, m = 0, succ[e]
+            while m:
+                low = m & -m
+                row |= low | rows[low.bit_length() - 1]
+                m &= ~row
+            rows[e] = row
+    if back:
+        # Kosaraju: searching back along the pairs from the latest finished
+        # element left takes one strongly connected component; a step per
+        # element and per pair.
+        pred = [0] * size
+        for i, row in enumerate(succ):
+            for j in _mask_elements(row):
+                pred[j] |= 1 << i
+        left, least = (1 << size) - 1, size
+        for v in reversed(finished):
+            comp = frontier = 1 << v & left
+            while frontier:
+                left &= ~frontier
+                frontier = reduce(or_, map(pred.__getitem__, _mask_elements(frontier))) & left
+                comp |= frontier
+            if comp & (comp - 1):  # two or more elements: a cycle
+                least = min(least, (comp & -comp).bit_length() - 1)
+        raise CycleError((least, least))
     return FinitePoset(size, tuple(rows))
 
 
@@ -277,19 +318,24 @@ def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
 
 
 def linear_extension(p: FinitePoset) -> tuple[int, ...]:
-    """The first of :func:`linear_extensions`, without enumerating the rest.
+    """The first of :func:`linear_extensions`, without enumerating the rest."""
+    return _kahn(cover_masks(p.rows))
 
-    Kahn's algorithm, always placing the least element whose predecessors
-    are all placed.
-    """
-    rows = p.rows
-    waiting = [(near & ~row).bit_count() for near, row in zip(comparability_graph(rows), rows)]
+
+def _kahn(covers: list[int]) -> tuple[int, ...]:
+    # Kahn's algorithm, placing the least element whose lower covers are all
+    # placed, as it is ready exactly when all its predecessors are: one step
+    # per cover, and a heap operation per element.
+    waiting = [0] * len(covers)
+    for up in covers:
+        for j in _mask_elements(up):
+            waiting[j] += 1
     ready = [e for e, count in enumerate(waiting) if count == 0]
     order = []
     while ready:
         e = heapq.heappop(ready)
         order.append(e)
-        for up in _mask_elements(rows[e]):
+        for up in _mask_elements(covers[e]):
             waiting[up] -= 1
             if waiting[up] == 0:
                 heapq.heappush(ready, up)
@@ -327,12 +373,26 @@ def connected_components(p: FinitePoset) -> list[tuple[int, ...]]:
 
 
 def comparability_graph(rows) -> list[int]:
-    """Per element, the mask of elements comparable to it, given its row masks."""
-    neighbors = list(rows)
-    for i, row in enumerate(rows):
-        for j in _mask_elements(row):
-            neighbors[j] |= 1 << i
-    return neighbors
+    """Per element, the mask of elements comparable to it, given its closed row masks.
+
+    Taken by descending row size, a linear extension, each element has its
+    down-set complete and pushes it, with itself, to the candidates of
+    :func:`cover_masks`' search, a set holding every cover: same cost.
+    """
+    down = [0] * len(rows)
+    sizes = list(map(int.bit_count, rows))
+    for i in sorted(range(len(rows)), key=sizes.__getitem__, reverse=True):
+        mine = down[i] | 1 << i
+        remaining = rows[i]
+        while remaining:
+            k = (remaining & -remaining).bit_length() - 1
+            down[k] |= mine
+            remaining &= ~(1 << k | rows[k])
+            if remaining:
+                k = remaining.bit_length() - 1
+                down[k] |= mine
+                remaining &= ~(1 << k | rows[k])
+    return list(map(or_, rows, down))
 
 
 def components(neighbors, mask: int) -> list[int]:
@@ -354,14 +414,31 @@ def components(neighbors, mask: int) -> list[int]:
 
 
 def cover_masks(rows) -> list[int]:
-    """Per element, the mask of the elements covering it, given closed row masks."""
+    """Per element, the mask of the elements covering it, given closed row masks.
+
+    Aho, Garey & Ullman (1972): j covers i unless some k above i is below j.
+    Candidates are the least and the greatest label not yet reached, in
+    turn, and reach their rows; the covers are the candidates no candidate
+    reaches.  Exact for any numbering, at a step per candidate: at most two
+    per cover when labels rise or fall along the order, else up to one per
+    related pair.
+    """
     covers = []
     for row in rows:
-        # Aho, Garey & Ullman (1972): j covers i unless some k above i is below j.
-        through = 0
-        for k in _mask_elements(row):
-            through |= rows[k]
-        covers.append(row & ~through)
+        picked = through = 0
+        remaining = row
+        while remaining:
+            low = remaining & -remaining
+            above = rows[low.bit_length() - 1]
+            picked |= low
+            through |= above
+            remaining &= ~(low | above)
+            if remaining:
+                k = remaining.bit_length() - 1
+                picked |= 1 << k
+                through |= rows[k]
+                remaining &= ~(1 << k | rows[k])
+        covers.append(picked & ~through)
     return covers
 
 

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ArityError, SizeError
-from .poset import FinitePoset, _mask_elements, cover_masks, linear_extension
+from .poset import FinitePoset, _kahn, _mask_elements, cover_masks
 
 Runtime = Fraction
 
@@ -59,7 +59,8 @@ def boxtimes(p: FinitePoset, runtimes: Sequence[Runtime]) -> Runtime:
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
     ticks, scale = _ticks(runtimes)
-    finish = _finish_ticks(cover_masks(p.rows), ticks, linear_extension(p))
+    covers = cover_masks(p.rows)
+    finish = _finish_ticks(covers, ticks, _kahn(covers))
     return Fraction(max(finish, default=0), scale)
 
 
@@ -109,13 +110,16 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
         return Schedule((), (), Fraction(0), ())
     ticks, scale = _ticks(runtimes)
     covers = cover_masks(p.rows)
-    order = linear_extension(p)
+    order = _kahn(covers)
     finish = _finish_ticks(covers, ticks, order)
     makespan = max(finish)
 
     best_from = [0] * n
+    reaching: dict[int, int] = {}  # longest chain onward -> mask of elements
     for e in reversed(order):
-        best_from[e] = ticks[e] + max((best_from[s] for s in _mask_elements(covers[e])), default=0)
+        onward = max((best_from[s] for s in _mask_elements(covers[e])), default=0)
+        best = best_from[e] = ticks[e] + onward
+        reaching[best] = reaching.get(best, 0) | 1 << e
 
     chain: list[int] = []
     needed = makespan
@@ -123,11 +127,8 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
     while True:
         # The least candidate whose longest chain onward is what remains; one
         # exists, since needed is the best over the candidates while positive.
-        low = candidates & -candidates
-        while best_from[low.bit_length() - 1] != needed:
-            candidates ^= low
-            low = candidates & -candidates
-        nxt = low.bit_length() - 1
+        hits = candidates & reaching[needed]
+        nxt = (hits & -hits).bit_length() - 1
         chain.append(nxt)
         needed -= ticks[nxt]
         if needed == 0:

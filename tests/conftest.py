@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: poset
 counting enumerates raw relation subsets and filters by the axioms, the
 pair-set oracle restates each poset operation on explicit sets of pairs (the
-incomparability witness included, as chain pairs closed by ``from_pairs``), the
+closure by one search per element, the first linear extension by predecessor
+sets, the incomparability witness as chain pairs closed by ``from_pairs``), the
 expressible-set oracle searches all binary build trees, the zig-zag oracle
 tries every ordered quadruple of elements, the tropical oracle
 sums over explicitly enumerated chains, the Gantt oracle tests every chart
@@ -136,6 +137,48 @@ def oracle_covers(p: FinitePoset) -> list[tuple[int, int]]:
     return sorted(
         (i, j) for i, j in rel if not any((i, k) in rel and (k, j) in rel for k in range(p.size))
     )
+
+
+def oracle_closure(size: int, pairs) -> frozenset:
+    """Every pair (i, j) with a path of given pairs from i to j, (m, m) for m on a cycle.
+
+    One search per element over successor sets built from the pairs.
+    """
+    succ = {i: set() for i in range(size)}
+    for i, j in pairs:
+        succ[i].add(j)
+    closed = set()
+    for i in range(size):
+        reached, todo = set(), list(succ[i])
+        while todo:
+            j = todo.pop()
+            if j not in reached:
+                reached.add(j)
+                todo.extend(succ[j])
+        closed |= {(i, j) for j in reached}
+    return frozenset(closed)
+
+
+def oracle_comparable(p: FinitePoset) -> list[frozenset]:
+    """Per element, the set of elements related to it either way."""
+    near = [set() for _ in range(p.size)]
+    for i, j in p.pairs():
+        near[i].add(j)
+        near[j].add(i)
+    return [frozenset(s) for s in near]
+
+
+def oracle_linear_extension(p: FinitePoset) -> tuple[int, ...]:
+    """Kahn by pairs: always place the least element whose predecessors are all placed."""
+    below = {j: set() for j in range(p.size)}
+    for i, j in p.pairs():
+        below[j].add(i)
+    order: list[int] = []
+    placed: set = set()
+    while len(order) < p.size:
+        order.append(min(e for e in range(p.size) if e not in placed and below[e] <= placed))
+        placed.add(order[-1])
+    return tuple(order)
 
 
 def oracle_is_linear_extension(p: FinitePoset, order) -> bool:
@@ -341,6 +384,33 @@ def random_sp_poset(rng: random.Random, n: int, planted: bool = False) -> Finite
         return low + high, rel
 
     return from_pairs(n, build(blocks)[1])
+
+
+def random_sp_covers(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """The cover pairs of a series-parallel poset on n shuffled labels, never closed.
+
+    A random binary build tree as in ``random_sp_poset``; a series node adds
+    every maximal element of its lower part below every minimal one of its
+    upper part, and those are exactly the new covers.  Cheap at any size the
+    command line accepts.
+    """
+    labels = list(range(n))
+    rng.shuffle(labels)
+    covers: list[tuple[int, int]] = []
+
+    def build(lo: int, hi: int):  # (minimal, maximal) elements of labels[lo:hi]
+        if hi - lo == 1:
+            return [labels[lo]], [labels[lo]]
+        k = rng.randint(lo + 1, hi - 1)
+        (low_min, low_max), (high_min, high_max) = build(lo, k), build(k, hi)
+        if rng.random() < 0.5:
+            covers.extend((x, y) for x in low_max for y in high_min)
+            return low_min, high_max
+        return low_min + high_min, low_max + high_max
+
+    if n:
+        build(0, n)
+    return covers
 
 
 @lru_cache(maxsize=None)

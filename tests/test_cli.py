@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 import time
 
 import pytest
@@ -10,10 +11,12 @@ from depcalc import (
     cli,
     derive_structure_map,
     disjoint_union,
+    evaluate,
     from_pairs,
     join,
     parse_expression,
     singleton,
+    transitive_reduction,
     verify_proof,
 )
 from depcalc.cli import EXIT_INTERNAL, main
@@ -22,7 +25,7 @@ from depcalc.polynomial import MAX_COMPOSE_ENTRIES
 from depcalc.poset import MAX_ELEMENTS, from_json_dict, to_json_dict
 from depcalc.tropical import MAX_GANTT_COLUMNS
 
-from conftest import alternating_nest
+from conftest import alternating_nest, random_sp_covers
 
 ZIGZAG_JSON = {"elements": 4, "relations": [[0, 1], [2, 1], [2, 3]]}
 EXPR_JSON = {"elements": 4, "relations": [[0, 1], [0, 2], [2, 3]]}
@@ -94,6 +97,77 @@ def test_decompose_long_chain_exits_zero(write, capsys):
     code, out, err = run(capsys, "decompose", "--poset", write("c.json", chain_json))
     assert code == 0 and err == ""
     assert out.strip() == "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
+
+
+def _longest_chain_sum(n, covers, runtimes):
+    """Greatest runtime sum along a chain: relaxes each cover pair once, in
+    Kahn order over adjacency lists."""
+    above = [[] for _ in range(n)]
+    waiting = [0] * n
+    for i, j in covers:
+        above[i].append(j)
+        waiting[j] += 1
+    start = [0] * n
+    ready = [e for e in range(n) if not waiting[e]]
+    best = 0
+    while ready:
+        e = ready.pop()
+        finish = start[e] + runtimes[e]
+        best = max(best, finish)
+        for j in above[e]:
+            start[j] = max(start[j], finish)
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    return best
+
+
+def _run_poset_commands(capsys, path, n, covers, runtimes):
+    """check, decompose and tropical on one file; returns the decompose text."""
+    code, out, err = run(capsys, "check", "--poset", path)
+    assert (code, out, err) == (0, "expressible\n", "")
+    code, text, err = run(capsys, "decompose", "--poset", path)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "tropical", "--poset", path,
+                         "--runtimes", ",".join(map(str, runtimes)), "--format", "json")
+    assert (code, err) == (0, "")
+    plan = json.loads(out)
+    assert plan["makespan"] == str(_longest_chain_sum(n, covers, runtimes))
+    chain = plan["critical_chain"]
+    assert sum(runtimes[e] for e in chain) == int(plan["makespan"])
+    return text
+
+
+def test_commands_on_thousands_of_elements_given_as_cover_pairs(write, capsys):
+    n = 4096
+    runtimes = [i % 5 for i in range(n)]
+    covers = [(i, i + 1) for i in range(n - 1)]
+    text = _run_poset_commands(capsys, write("chain.json", {"elements": n, "relations": covers}),
+                               n, covers, runtimes)
+    assert text == "(tri " + " ".join(f"x{i}" for i in range(n)) + ")\n"
+    covers = random_sp_covers(random.Random(n), n)
+    text = _run_poset_commands(capsys, write("sp.json", {"elements": n, "relations": covers}),
+                               n, covers, runtimes)
+    assert transitive_reduction(evaluate(parse_expression(text))) == sorted(covers)
+
+
+@pytest.mark.slow
+def test_commands_on_the_three_files_at_the_element_cap(write, capsys):
+    n = MAX_ELEMENTS
+    runtimes = [1 + i % 3 for i in range(n)]
+    files = {
+        "chain": [(i, i + 1) for i in range(n - 1)],
+        "antichain": [],
+        "sp": random_sp_covers(random.Random(n), n),
+    }
+    for name, covers in files.items():
+        path = write(f"{name}.json", {"elements": n, "relations": covers})
+        text = _run_poset_commands(capsys, path, n, covers, runtimes)
+        if name == "sp":
+            assert transitive_reduction(evaluate(parse_expression(text))) == sorted(covers)
+        else:
+            head = "tri" if covers else "ox"
+            assert text == f"({head} " + " ".join(f"x{i}" for i in range(n)) + ")\n"
 
 
 def test_decompose_deep_ox_tri_alternation_exits_zero(write, capsys):

@@ -10,9 +10,10 @@ reaches the code past the loaders; one time in three one slot of it, or
 the whole of it, is then swapped for a bool, float (NaN and infinities
 included), string, null, list or object.  Posets also get cyclic and
 out-of-range relations, and expression text nests around ``MAX_NESTING``.
-Element counts are drawn from 0-64 or past ``MAX_ELEMENTS``, never near the
-cap, where loading alone costs seconds.  Examples are derandomized by the
-profile ``conftest`` loads, so every run draws the same inputs.
+Element counts are drawn from 0-64, at or just below ``MAX_ELEMENTS`` (with
+relations among the first 64 elements only, so sparse), or past it.
+Examples are derandomized by the profile ``conftest`` loads, so every run
+draws the same inputs.
 """
 
 from __future__ import annotations
@@ -70,8 +71,12 @@ def _mangle(draw, node):
 
 @st.composite
 def poset_json(draw, max_elements: int = 64):
-    past_cap = draw(st.sampled_from([False, False, False, True]))
-    n = draw(st.integers(MAX_ELEMENTS + 1, 1 << 40) if past_cap else st.integers(0, max_elements))
+    size = draw(st.sampled_from(["small"] * 4 + ["near_cap", "past_cap"] * 2))
+    n = draw({
+        "small": st.integers(0, max_elements),
+        "near_cap": st.integers(MAX_ELEMENTS - 3, MAX_ELEMENTS),
+        "past_cap": st.integers(MAX_ELEMENTS + 1, 1 << 40),
+    }[size])
     top = min(n, max_elements) - 1
     pairs = []
     if top > 0:

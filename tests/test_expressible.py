@@ -23,6 +23,8 @@ from depcalc import (
     singleton,
 )
 
+from depcalc.expression import is_normal
+
 from conftest import all_posets, buildable_posets, oracle_find_z, random_sp_poset
 
 EXPR_POSET = from_pairs(4, [(0, 1), (0, 2), (2, 3)])  # x0 below x1, x2; x2 below x3
@@ -107,6 +109,20 @@ def test_decompose_matches_brute_force_search():
             assert (find_z(p) is None) == expressible
             result = decompose(p)
             assert isinstance(result, Obstruction) != expressible
+
+
+def test_decompose_builds_normal_terms():
+    # normal_form builds each product node directly, without ox and tri.
+    for n in range(6):
+        for p in all_posets(n):
+            result = decompose(p)
+            assert isinstance(result, Obstruction) or is_normal(result)
+    rng = random.Random(1515)
+    for n in (6, 16, 64, 256):
+        for _ in range(3):
+            p = random_sp_poset(rng, n)
+            expr = decompose(p)
+            assert is_normal(expr) and evaluate(expr) == p
 
 
 def test_decompose_roundtrip_small():

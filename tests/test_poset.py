@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import permutations, product
 
 import pytest
@@ -32,6 +33,8 @@ from depcalc import (
 )
 from depcalc.poset import (
     MAX_ELEMENTS,
+    comparability_graph,
+    cover_masks,
     from_json_dict,
     is_linear_extension,
     to_dot,
@@ -40,13 +43,17 @@ from depcalc.poset import (
 
 from conftest import (
     all_posets,
+    oracle_closure,
+    oracle_comparable,
     oracle_count_posets,
     oracle_covers,
     oracle_induced,
     oracle_is_linear_extension,
     oracle_join,
+    oracle_linear_extension,
     oracle_substitute,
     oracle_union,
+    random_sp_poset,
     relation,
 )
 
@@ -112,6 +119,82 @@ def test_closure_idempotent_on_all_small_posets():
         for p in all_posets(n):
             assert from_pairs(n, p.pairs()) == p
             p.check_valid()
+
+
+def _check_core_against_oracles(size, pairs):
+    """from_pairs, then each pass over its rows, against the pair-set oracles."""
+    p = from_pairs(size, pairs)
+    assert relation(p) == (size, oracle_closure(size, pairs))
+    covers = cover_masks(p.rows)
+    assert [(i, j) for i, up in enumerate(covers) for j in range(size) if up >> j & 1] \
+        == oracle_covers(p)
+    near = comparability_graph(p.rows)
+    assert [frozenset(j for j in range(size) if m >> j & 1) for m in near] \
+        == oracle_comparable(p)
+    assert linear_extension(p) == oracle_linear_extension(p)
+    return p
+
+
+def _top_down(p):
+    """p relabelled by i -> n - 1 - i, so its least elements get the largest labels."""
+    n = p.size
+    return [(n - 1 - i, n - 1 - j) for i, j in p.pairs()]
+
+
+def test_poset_core_matches_the_pair_set_oracles_on_every_small_poset():
+    rng = random.Random(15)
+    for n in range(5):
+        for p in all_posets(n):
+            shuffled = p.pairs() * 2
+            rng.shuffle(shuffled)
+            for pairs in (oracle_covers(p), p.pairs(), shuffled):
+                assert _check_core_against_oracles(n, pairs) == p
+            _check_core_against_oracles(n, _top_down(p))
+
+
+def test_poset_core_matches_the_pair_set_oracles_on_relabelled_sp_posets():
+    rng = random.Random(2015)
+    for n in (5, 9, 16, 33, 64, 128, 256):
+        for planted in (False, True):
+            p = random_sp_poset(rng, n, planted=planted)
+            tau = list(range(n))
+            rng.shuffle(tau)
+            q = _check_core_against_oracles(n, [(tau[i], tau[j]) for i, j in p.pairs()])
+            covers = [(i, j) for i, up in enumerate(cover_masks(q.rows)) for j in range(n)
+                      if up >> j & 1]
+            rng.shuffle(covers)
+            assert _check_core_against_oracles(n, covers) == q
+            assert from_pairs(n, iter(covers)) == q  # any iterable, read once
+            _check_core_against_oracles(n, _top_down(q))
+
+
+def test_from_pairs_reports_the_least_element_on_a_cycle():
+    # The search from 0 meets 1 only after closing 2, whose arrow back to 4
+    # closes the cycle 4 -> 2 -> 4; 1 lies on 4 -> 3 -> 1 -> 2 -> 4.
+    with pytest.raises(CycleError) as err:
+        from_pairs(5, [(0, 4), (4, 2), (4, 3), (3, 1), (1, 2), (2, 4)])
+    assert err.value.pair == (1, 1)
+    rng = random.Random(1979)
+    for trial in range(300):
+        n = rng.randint(2, 12 if trial % 3 else 40)
+        density = rng.choice((0.05, 0.15, 0.3))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        closed = oracle_closure(n, pairs)
+        on_cycle = [m for m in range(n) if (m, m) in closed]
+        if not on_cycle:
+            assert relation(from_pairs(n, pairs)) == (n, closed)
+            continue
+        with pytest.raises(CycleError) as err:
+            from_pairs(n, pairs)
+        assert err.value.pair == (on_cycle[0], on_cycle[0])
+
+
+def test_from_pairs_reports_a_cycle_past_a_long_chain_without_closing_it_pairwise():
+    n = MAX_ELEMENTS
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 3)]
+    with pytest.raises(CycleError) as err:
+        from_pairs(n, pairs)
+    assert err.value.pair == (n - 3, n - 3)
 
 
 # --- disjoint union and join -------------------------------------------------
