@@ -16,8 +16,6 @@ over that poset; the tropical and polynomial algebras are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import gt
@@ -36,42 +34,60 @@ from .poset import (
     substitute,
     transitive_reduction,
 )
+from .record import Record, Single, set_values, setters
 from .tropical import boxtimes
 
 
 # ---------------------------------------------------------------------------
 # Polygraphs and diagrams
 
-@dataclass(frozen=True)
-class PartialPolygraph:
-    types: tuple[str, ...]
-    compat: frozenset[tuple[str, str]]  # symmetric, stored in both orientations
-    generators: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
+class PartialPolygraph(Record):
+    """Vertex types, their compatibility relation and the generators.
 
-    def compatible(self, a: str, b: str) -> bool:
-        return (a, b) in self.compat
+    ``compat`` is symmetric, stored in both orientations.
+    """
 
-    @cached_property
-    def total(self) -> bool:
-        """Whether every pair of declared types is compatible."""
-        return all((a, b) in self.compat for a in self.types for b in self.types)
+    __match_args__ = ("types", "compat", "generators")
+    __slots__ = (*__match_args__, "_total")
 
-    def gen_map(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-        return {name: (src, tgt) for name, src, tgt in self.generators}
-
-    def __post_init__(self):
-        known = set(self.types)
-        for name, src, tgt in self.generators:
+    def __init__(self, types: tuple[str, ...], compat: frozenset[tuple[str, str]],
+                 generators: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]):
+        known = set(types)
+        for name, src, tgt in generators:
             for t in src + tgt:
                 if t not in known:
                     raise ValueError(f"generator {name!r} uses unknown type {t!r}")
             for boundary in (src, tgt):
                 for a, b in zip(boundary, boundary[1:]):
-                    if not self.compatible(a, b):
+                    if (a, b) not in compat:
                         raise ValueError(
                             f"generator {name!r} boundary has incompatible "
                             f"neighbors ({a!r}, {b!r})"
                         )
+        set_values(self, (types, compat, generators))
+        _polygraph_types(self, types)
+        _polygraph_compat(self, compat)
+        _polygraph_generators(self, generators)
+
+    def compatible(self, a: str, b: str) -> bool:
+        return (a, b) in self.compat
+
+    @property
+    def total(self) -> bool:
+        """Whether every pair of declared types is compatible; computed once."""
+        try:
+            return self._total
+        except AttributeError:
+            total = all((a, b) in self.compat for a in self.types for b in self.types)
+            _polygraph_total(self, total)
+            return total
+
+    def gen_map(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        return {name: (src, tgt) for name, src, tgt in self.generators}
+
+
+_polygraph_types, _polygraph_compat, _polygraph_generators = setters(PartialPolygraph)
+_polygraph_total = PartialPolygraph._total.__set__
 
 
 def make_polygraph(
@@ -99,50 +115,80 @@ def total_polygraph(generators: dict[str, tuple[Sequence[str], Sequence[str]]],
     return make_polygraph(types, compat, generators)
 
 
-@dataclass(frozen=True, slots=True)
-class GenCell:
-    gen: str
+class GenCell(Single):
+    __match_args__ = ("gen",)
+    __slots__ = ()
+
+    def __init__(self, gen: str):
+        set_values(self, gen)
 
 
-@dataclass(frozen=True, slots=True)
-class IdCell:
-    type: str
+class IdCell(Single):
+    __match_args__ = ("type",)
+    __slots__ = ()
+
+    def __init__(self, type: str):
+        set_values(self, type)
 
 
-@dataclass(frozen=True, slots=True)
-class SwapCell:
-    left: str
-    right: str
+class SwapCell(Record):
+    __slots__ = ("left", "right")
 
+    def __init__(self, left: str, right: str):
+        set_values(self, (left, right))
+        _swap_left(self, left)
+        _swap_right(self, right)
+
+
+_swap_left, _swap_right = setters(SwapCell)
 
 Cell = Union[GenCell, IdCell, SwapCell]
 
 
-@dataclass(frozen=True)
-class StringDiagram:
-    polygraph: PartialPolygraph
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    layers: tuple[tuple[Cell, ...], ...]
+class StringDiagram(Record):
+    __slots__ = ("polygraph", "inputs", "outputs", "layers")
+
+    def __init__(self, polygraph: PartialPolygraph, inputs: tuple[str, ...],
+                 outputs: tuple[str, ...], layers: tuple[tuple[Cell, ...], ...]):
+        set_values(self, (polygraph, inputs, outputs, layers))
+        _diagram_polygraph(self, polygraph)
+        _diagram_inputs(self, inputs)
+        _diagram_outputs(self, outputs)
+        _diagram_layers(self, layers)
 
 
-@dataclass(frozen=True)
-class GenInstance:
+_diagram_polygraph, _diagram_inputs, _diagram_outputs, _diagram_layers = setters(StringDiagram)
+
+
+class GenInstance(Record):
     """A generator occurrence; ``element`` is its index in the edge poset."""
 
-    element: int
-    layer: int
-    cell: int
-    name: str
+    __slots__ = ("element", "layer", "cell", "name")
+
+    def __init__(self, element: int, layer: int, cell: int, name: str):
+        set_values(self, (element, layer, cell, name))
+        _instance_element(self, element)
+        _instance_layer(self, layer)
+        _instance_cell(self, cell)
+        _instance_name(self, name)
 
 
-@dataclass(frozen=True)
-class StageFailure:
-    stage: int
-    reason: str
+_instance_element, _instance_layer, _instance_cell, _instance_name = setters(GenInstance)
+
+
+class StageFailure(Record):
+    __slots__ = ("stage", "reason")
+
+    def __init__(self, stage: int, reason: str):
+        set_values(self, (stage, reason))
+        _failure_stage(self, stage)
+        _failure_reason(self, reason)
 
     def __bool__(self) -> bool:
         return False
+
+
+_failure_stage, _failure_reason = setters(StageFailure)
 
 
 def _trace(diag: StringDiagram, check_compat: bool = False):
@@ -278,11 +324,14 @@ class PolynomialAlgebra:
         return signature(a) == signature(b)
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Single):
     """Total assignment of algebra values to generator names."""
 
-    assignment: dict
+    __match_args__ = ("assignment",)
+    __slots__ = ()
+
+    def __init__(self, assignment: dict):
+        set_values(self, assignment)
 
     def value(self, name: str):
         if name not in self.assignment:
@@ -357,12 +406,18 @@ def compose_diagrams(first: StringDiagram, second: StringDiagram) -> StringDiagr
     )
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    kind: str
-    law: str
-    passed: bool
-    details: str
+class LawCheck(Record):
+    __slots__ = ("kind", "law", "passed", "details")
+
+    def __init__(self, kind: str, law: str, passed: bool, details: str):
+        set_values(self, (kind, law, passed, details))
+        _law_kind(self, kind)
+        _law_law(self, law)
+        _law_passed(self, passed)
+        _law_details(self, details)
+
+
+_law_kind, _law_law, _law_passed, _law_details = setters(LawCheck)
 
 
 def check_decoration_laws(

@@ -14,7 +14,6 @@ poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -27,16 +26,20 @@ from .poset import (
     from_pairs,
     induced,
 )
+from .record import Single, set_values
 
 #: The zig-zag pattern: 0 < 1, 2 < 1, 2 < 3 and no other relations.
 ZIGZAG = from_pairs(4, [(0, 1), (2, 1), (2, 3)])
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Single):
     """Four elements whose induced order is exactly the zig-zag."""
 
-    elements: tuple[int, int, int, int]
+    __match_args__ = ("elements",)
+    __slots__ = ()
+
+    def __init__(self, elements: tuple[int, int, int, int]):
+        set_values(self, elements)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -32,21 +32,10 @@ from weakref import ref
 
 from .errors import MalformedExpression
 from .poset import MAX_ELEMENTS, FinitePoset, _mask_elements
+from .record import Immutable
 
 _set = object.__setattr__
 _low = attrgetter("low")
-
-
-class _Node:
-    """Immutable ``__slots__`` node: the base of terms and of proofs."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class _Entry(ref):
@@ -75,7 +64,7 @@ def _intern(key: tuple, node: "_Term") -> None:
     entry.key = key
 
 
-class _Term(_Node):
+class _Term(Immutable):
     """Term node: ``mask`` of its variables, ``low``, the least; identity-hashed."""
 
     __slots__ = ("mask", "low", "__weakref__")

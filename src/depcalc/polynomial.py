@@ -21,12 +21,12 @@ pairwise tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .errors import ArityError, InvalidExtension, SizeError
 from .poset import FinitePoset, _is_json_int, is_linear_extension
+from .record import Record, Single, set_values, setters
 
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
@@ -38,15 +38,16 @@ BOX_MAX_POSITIONS = 4
 MAX_COMPOSE_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class FinitePolynomial:
+class FinitePolynomial(Single):
     """Direction count per position; position order is part of the value."""
 
-    directions: tuple[int, ...]
+    __match_args__ = ("directions",)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.directions):
+    def __init__(self, directions: tuple[int, ...]):
+        if any(d < 0 for d in directions):
             raise ValueError("direction counts must be nonnegative")
+        set_values(self, directions)
 
     @property
     def positions(self) -> int:
@@ -60,11 +61,14 @@ def poly(*directions: int) -> FinitePolynomial:
     return FinitePolynomial(tuple(directions))
 
 
-@dataclass(frozen=True)
-class PolySignature:
+class PolySignature(Single):
     """Multiset of direction counts: the position-reordering invariant."""
 
-    counts: tuple[int, ...]
+    __match_args__ = ("counts",)
+    __slots__ = ()
+
+    def __init__(self, counts: tuple[int, ...]):
+        set_values(self, counts)
 
 
 def signature(p: FinitePolynomial) -> PolySignature:
@@ -90,18 +94,26 @@ def compose(p: FinitePolynomial, q: FinitePolynomial) -> FinitePolynomial:
     return FinitePolynomial(tuple(sum(dq[j] for j in f) for _, f in _compose_positions(p, q)))
 
 
-@dataclass(frozen=True)
-class PolyMorphism:
+class PolyMorphism(Record):
     """Forward map on positions with a per-position backward map on directions.
 
     ``direction_maps[k]`` sends each direction of the target position
     ``position_map[k]`` back to a direction of source position k.
     """
 
-    source: FinitePolynomial
-    target: FinitePolynomial
-    position_map: tuple[int, ...]
-    direction_maps: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "target", "position_map", "direction_maps")
+
+    def __init__(self, source: FinitePolynomial, target: FinitePolynomial,
+                 position_map: tuple[int, ...], direction_maps: tuple[tuple[int, ...], ...]):
+        set_values(self, (source, target, position_map, direction_maps))
+        _morphism_source(self, source)
+        _morphism_target(self, target)
+        _morphism_position_map(self, position_map)
+        _morphism_direction_maps(self, direction_maps)
+
+
+(_morphism_source, _morphism_target, _morphism_position_map,
+ _morphism_direction_maps) = setters(PolyMorphism)
 
 
 def is_valid_morphism(m: PolyMorphism) -> bool:

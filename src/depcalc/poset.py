@@ -17,13 +17,13 @@ and unital on the nose and equality of posets is literal equality.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import ArityError, CycleError, SizeError
+from .record import Immutable, Single, set_values
 
 ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the millions
 
@@ -33,7 +33,7 @@ ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the mill
 MAX_ELEMENTS = 1 << 14
 
 
-class FinitePoset:
+class FinitePoset(Immutable):
     """A strict partial order, transitively closed, on elements 0..size-1.
 
     ``rows[i]`` is the mask of the elements strictly above i.  Build values
@@ -54,12 +54,6 @@ class FinitePoset:
             raise ValueError("relation rows out of range for size")
         _set_size(self, size)
         _set_rows(self, rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FinitePoset is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FinitePoset is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if type(other) is not FinitePoset:
@@ -107,7 +101,7 @@ class FinitePoset:
         return f"FinitePoset({self.size}, {self.pairs()!r})"
 
 
-# The slots' own setters: they write past the assignment guard above.
+# The slots' own setters: they write past Immutable's assignment guard.
 _set_size = FinitePoset.size.__set__
 _set_rows = FinitePoset.rows.__set__
 
@@ -248,11 +242,14 @@ def induced(p: FinitePoset, elements: Iterable[int]) -> FinitePoset:
     return FinitePoset(len(elems), tuple(rows))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Single):
     """An injective, order-preserving and order-reflecting element map."""
 
-    mapping: tuple[int, ...]
+    __match_args__ = ("mapping",)
+    __slots__ = ()
+
+    def __init__(self, mapping: tuple[int, ...]):
+        set_values(self, mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -297,23 +294,27 @@ def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
     preds = [near & ~row for near, row in zip(comparability_graph(p.rows), p.rows)]
     out: list[tuple[int, ...]] = []
     order: list[int] = []
-
-    def rec(remaining: int) -> None:
+    remaining = (1 << n) - 1
+    # Depth-first from an explicit stack, so a long order costs no recursion:
+    # one mask per position of ``order`` so far, of the candidates not yet
+    # tried there, each tried in increasing order, so the output is sorted.
+    untried = [remaining]
+    while untried:
+        m = untried.pop()
         if not remaining:
             out.append(tuple(order))
-            return
-        m = remaining
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            if preds[e] & remaining:
+        else:
+            while m and preds[(m & -m).bit_length() - 1] & remaining:
+                m &= m - 1
+            if m:
+                low = m & -m
+                untried.append(m ^ low)
+                order.append(low.bit_length() - 1)
+                remaining ^= low
+                untried.append(remaining)
                 continue
-            order.append(e)
-            rec(remaining ^ low)
-            order.pop()
-
-    rec((1 << n) - 1)
+        if order:  # back up past the last element placed
+            remaining |= 1 << order.pop()
     return out
 
 
@@ -505,6 +506,8 @@ def from_json_dict(data: dict) -> FinitePoset:
         raise ValueError("'elements' must be a nonnegative integer")
     if n > MAX_ELEMENTS:
         raise SizeError(f"poset has {n} elements; at most {MAX_ELEMENTS} are accepted")
+    if not isinstance(relations, list):
+        raise ValueError("'relations' must be a list of [i, j] pairs")
     pairs = []
     for item in relations:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):

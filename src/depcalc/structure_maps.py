@@ -55,8 +55,8 @@ from .expression import (
     Otimes,
     Tri,
     Var,
-    _Node,
     _Product,
+    _low,
     _set,
     ox,
     tri,
@@ -64,9 +64,10 @@ from .expression import (
 )
 from .expressible import Obstruction, decompose
 from .poset import FinitePoset, is_inclusion
+from .record import Immutable
 
 
-class _Proof(_Node):
+class _Proof(Immutable):
     """Derivation node with a stored hash, endpoints and verdict; not interned."""
 
     __slots__ = ("_hash", "_source", "_target", "_verdict")
@@ -296,10 +297,21 @@ def _derive(a: Expression, b: Expression) -> Proof:
         return Equiv(a, a)
 
     if type(b) is Otimes:
-        # A loop, not a generator, so that a level costs no extra frame.
+        # a is included in b, so a's components refine b's: a is an ox, and
+        # each child of b is covered by children of a.  The least variable of
+        # the child not yet covered is the least variable of a child of a, so
+        # one step per child of a, in increasing order, finds the restriction
+        # of a to each child of b, already normal.  Loops, not generators or
+        # calls, so that small terms pay no extra frames.
+        by_low = dict(zip(map(_low, a.children), a.children))
         parts = []
         for comp in b.children:
-            parts.append(_derive(_restrict(a, comp.mask), comp))
+            kept, rest = [], comp.mask
+            while rest:
+                child = by_low[(rest & -rest).bit_length() - 1]
+                kept.append(child)
+                rest ^= child.mask
+            parts.append(_derive(kept[0] if len(kept) == 1 else Otimes(tuple(kept)), comp))
         return _par(OtimesPar, tuple(parts))
 
     if type(a) is Tri:

@@ -14,13 +14,13 @@ predecessor finishes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .errors import ArityError, SizeError
 from .poset import FinitePoset, _kahn, _mask_elements, cover_masks
+from .record import Record, set_values, setters
 
 Runtime = Fraction
 
@@ -85,14 +85,21 @@ def _finish_ticks(covers: list[int], ticks: list[int], order) -> list[int]:
     return finish
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Earliest-start schedule: finish_i = start_i + runtime_i, makespan = max finish."""
 
-    start: tuple[Runtime, ...]
-    finish: tuple[Runtime, ...]
-    makespan: Runtime
-    critical_chain: tuple[int, ...]
+    __slots__ = ("start", "finish", "makespan", "critical_chain")
+
+    def __init__(self, start: tuple[Runtime, ...], finish: tuple[Runtime, ...],
+                 makespan: Runtime, critical_chain: tuple[int, ...]):
+        set_values(self, (start, finish, makespan, critical_chain))
+        _schedule_start(self, start)
+        _schedule_finish(self, finish)
+        _schedule_makespan(self, makespan)
+        _schedule_critical_chain(self, critical_chain)
+
+
+_schedule_start, _schedule_finish, _schedule_makespan, _schedule_critical_chain = setters(Schedule)
 
 
 def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:

@@ -512,6 +512,14 @@ def test_non_integer_json_exits_two(write, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("relations", [5, None, "01", {"0": 1}])
+def test_relations_that_are_not_a_list_exit_two(write, capsys, relations):
+    path = write("p.json", {"elements": 2, "relations": relations})
+    code, out, err = run(capsys, "check", "--poset", path)
+    assert (code, out) == (2, "")
+    assert err == "error: 'relations' must be a list of [i, j] pairs\n"
+
+
 def test_eval_nesting_past_the_cap_exits_two(capsys):
     depth = MAX_NESTING + 1
     for expr in (alternating_nest(depth), "(tri " * 1500 + "x0" + ")" * 1500):

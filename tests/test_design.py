@@ -1,12 +1,16 @@
-"""Design rules of the source tree, checked on its syntax.
+"""Design rules of the source tree, checked on its syntax and its imports.
 
 The library builds its own posets with the row algebra (substitution,
 relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
 relations that come from outside it.  Derivation reads the normal-form terms
-only, never the poset splits that ``decompose`` runs on.
+only, never the poset splits that ``decompose`` runs on.  Importing the
+package generates no code, and loads every layer.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import depcalc
@@ -65,3 +69,21 @@ def test_structure_maps_imports_no_poset_split():
         elif isinstance(node, ast.Attribute):  # e.g. poset.components
             named.add(node.attr)
     assert not named & SPLITS
+
+
+#: Layers the benchmark harness reads from ``sys.modules`` right after
+#: ``import depcalc``, so the package must not load them lazily.
+LAYERS = ("poset", "expression", "expressible", "structure_maps", "tropical", "operad",
+          "polynomial", "diagram")
+
+
+def test_import_generates_no_code_and_loads_every_layer():
+    # A fresh interpreter, as every CLI process starts: the record classes are
+    # plain __slots__ classes, so nothing pulls in the dataclass machinery.
+    probe = "import depcalc, depcalc.cli, sys; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
+                          check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {f"depcalc.{layer}" for layer in LAYERS} <= loaded

@@ -342,6 +342,8 @@ def test_linear_extensions_counts():
     ]
     assert sorted(linear_extensions(ZIGZAG)) == sorted(brute)
     assert len(brute) == 5
+    # Deeper than the default recursion limit: the walk keeps its own stack.
+    assert linear_extensions(chain(1200)) == [tuple(range(1200))]
 
 
 def test_linear_extension_is_the_first_extension():
@@ -366,9 +368,15 @@ def test_is_linear_extension_matches_the_pairs_definition():
     cases = 0
     for n in range(6):
         for p in all_posets(n):
+            accepted = []
             for order in permutations(range(n)):
-                assert is_linear_extension(p, order) == oracle_is_linear_extension(p, order)
+                ok = is_linear_extension(p, order)
+                assert ok == oracle_is_linear_extension(p, order)
+                if ok:
+                    accepted.append(order)
                 cases += 1
+            # linear_extensions lists exactly these, in lexicographic order.
+            assert linear_extensions(p) == accepted
     assert cases == 513_098
     for order in ((), (0,), (0, 0, 1), (0, 1, 3), (1, 2, 3)):
         assert not is_linear_extension(chain(3), order)

@@ -261,6 +261,17 @@ def test_completeness_small():
                         derive_structure_map(p, q)
 
 
+def test_wide_ox_derivation_verifies_at_2048_elements():
+    # Only 5 < 9, derived to 5 < 9 < 11: each side is an ox of about 2,000
+    # children, which the derivation must group in one pass.
+    n = 2048
+    p, q = from_pairs(n, [(5, 9)]), from_pairs(n, [(5, 9), (9, 11)])
+    proof = derive_structure_map(p, q)
+    assert verify_proof(proof)
+    assert evaluate(proof_source(proof)) == p
+    assert evaluate(proof_target(proof)) == q
+
+
 def test_format_proof_shape():
     proof = derive_structure_map(antichain(3), chain(3))
     text = format_proof(proof)
