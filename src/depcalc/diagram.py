@@ -34,7 +34,7 @@ from .poset import (
     substitute,
     transitive_reduction,
 )
-from .record import Record, Single, set_values, setters
+from .record import Record
 from .tropical import boxtimes
 
 
@@ -64,10 +64,7 @@ class PartialPolygraph(Record):
                             f"generator {name!r} boundary has incompatible "
                             f"neighbors ({a!r}, {b!r})"
                         )
-        set_values(self, (types, compat, generators))
-        _polygraph_types(self, types)
-        _polygraph_compat(self, compat)
-        _polygraph_generators(self, generators)
+        super().__init__(types, compat, generators)
 
     def compatible(self, a: str, b: str) -> bool:
         return (a, b) in self.compat
@@ -86,7 +83,6 @@ class PartialPolygraph(Record):
         return {name: (src, tgt) for name, src, tgt in self.generators}
 
 
-_polygraph_types, _polygraph_compat, _polygraph_generators = setters(PartialPolygraph)
 _polygraph_total = PartialPolygraph._total.__set__
 
 
@@ -115,32 +111,17 @@ def total_polygraph(generators: dict[str, tuple[Sequence[str], Sequence[str]]],
     return make_polygraph(types, compat, generators)
 
 
-class GenCell(Single):
-    __match_args__ = ("gen",)
-    __slots__ = ()
-
-    def __init__(self, gen: str):
-        set_values(self, gen)
+class GenCell(Record):
+    __slots__ = ("gen",)
 
 
-class IdCell(Single):
-    __match_args__ = ("type",)
-    __slots__ = ()
-
-    def __init__(self, type: str):
-        set_values(self, type)
+class IdCell(Record):
+    __slots__ = ("type",)
 
 
 class SwapCell(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: str, right: str):
-        set_values(self, (left, right))
-        _swap_left(self, left)
-        _swap_right(self, right)
-
-
-_swap_left, _swap_right = setters(SwapCell)
 
 Cell = Union[GenCell, IdCell, SwapCell]
 
@@ -148,47 +129,18 @@ Cell = Union[GenCell, IdCell, SwapCell]
 class StringDiagram(Record):
     __slots__ = ("polygraph", "inputs", "outputs", "layers")
 
-    def __init__(self, polygraph: PartialPolygraph, inputs: tuple[str, ...],
-                 outputs: tuple[str, ...], layers: tuple[tuple[Cell, ...], ...]):
-        set_values(self, (polygraph, inputs, outputs, layers))
-        _diagram_polygraph(self, polygraph)
-        _diagram_inputs(self, inputs)
-        _diagram_outputs(self, outputs)
-        _diagram_layers(self, layers)
-
-
-_diagram_polygraph, _diagram_inputs, _diagram_outputs, _diagram_layers = setters(StringDiagram)
-
 
 class GenInstance(Record):
     """A generator occurrence; ``element`` is its index in the edge poset."""
 
     __slots__ = ("element", "layer", "cell", "name")
 
-    def __init__(self, element: int, layer: int, cell: int, name: str):
-        set_values(self, (element, layer, cell, name))
-        _instance_element(self, element)
-        _instance_layer(self, layer)
-        _instance_cell(self, cell)
-        _instance_name(self, name)
-
-
-_instance_element, _instance_layer, _instance_cell, _instance_name = setters(GenInstance)
-
 
 class StageFailure(Record):
     __slots__ = ("stage", "reason")
 
-    def __init__(self, stage: int, reason: str):
-        set_values(self, (stage, reason))
-        _failure_stage(self, stage)
-        _failure_reason(self, reason)
-
     def __bool__(self) -> bool:
         return False
-
-
-_failure_stage, _failure_reason = setters(StageFailure)
 
 
 def _trace(diag: StringDiagram, check_compat: bool = False):
@@ -324,14 +276,10 @@ class PolynomialAlgebra:
         return signature(a) == signature(b)
 
 
-class Decoration(Single):
+class Decoration(Record):
     """Total assignment of algebra values to generator names."""
 
-    __match_args__ = ("assignment",)
-    __slots__ = ()
-
-    def __init__(self, assignment: dict):
-        set_values(self, assignment)
+    __slots__ = ("assignment",)
 
     def value(self, name: str):
         if name not in self.assignment:
@@ -408,16 +356,6 @@ def compose_diagrams(first: StringDiagram, second: StringDiagram) -> StringDiagr
 
 class LawCheck(Record):
     __slots__ = ("kind", "law", "passed", "details")
-
-    def __init__(self, kind: str, law: str, passed: bool, details: str):
-        set_values(self, (kind, law, passed, details))
-        _law_kind(self, kind)
-        _law_law(self, law)
-        _law_passed(self, passed)
-        _law_details(self, details)
-
-
-_law_kind, _law_law, _law_passed, _law_details = setters(LawCheck)
 
 
 def check_decoration_laws(
@@ -657,6 +595,14 @@ def diagram_realizing(p: FinitePoset) -> tuple[PartialPolygraph, StringDiagram]:
 # ---------------------------------------------------------------------------
 # Serialization
 
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON list (of ``length`` entries), else a one-line error."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        entries = "" if length is None else f" of {length} entries"
+        raise ValueError(f"{what} must be a list{entries}, got {value!r}")
+    return value
+
+
 def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
     if not isinstance(data, dict) or "types" not in data or "generators" not in data:
         raise ValueError("polygraph JSON needs 'types' and 'generators'")
@@ -669,8 +615,10 @@ def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
         if not all(isinstance(entry.get(key), list) for key in ("src", "tgt")):
             raise ValueError(f"generator {name!r} needs 'src' and 'tgt' lists of types")
         generators[str(name)] = (entry["src"], entry["tgt"])
-    compat = [tuple(pair) for pair in data.get("compat", [])]
-    return make_polygraph([str(t) for t in data["types"]], compat, generators)
+    types = [str(t) for t in _json_list(data["types"], "'types'")]
+    compat = [tuple(_json_list(pair, "a compat pair", 2))
+              for pair in _json_list(data.get("compat", []), "'compat'")]
+    return make_polygraph(types, compat, generators)
 
 
 def diagram_from_json_dict(polygraph: PartialPolygraph, data: dict) -> StringDiagram:
@@ -685,16 +633,17 @@ def diagram_from_json_dict(polygraph: PartialPolygraph, data: dict) -> StringDia
         if "id" in entry:
             return IdCell(str(entry["id"]))
         if "swap" in entry:
-            left, right = entry["swap"]
+            left, right = _json_list(entry["swap"], "'swap'", 2)
             return SwapCell(str(left), str(right))
         raise ValueError(f"bad cell {entry!r}")
 
     layers = tuple(
-        tuple(parse_cell(c) for c in layer) for layer in data.get("layers", [])
+        tuple(map(parse_cell, _json_list(layer, "a layer")))
+        for layer in _json_list(data.get("layers", []), "'layers'")
     )
     return StringDiagram(
         polygraph,
-        tuple(str(t) for t in data.get("input", [])),
-        tuple(str(t) for t in data.get("output", [])),
+        tuple(str(t) for t in _json_list(data.get("input", []), "'input'")),
+        tuple(str(t) for t in _json_list(data.get("output", []), "'output'")),
         layers,
     )

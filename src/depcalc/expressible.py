@@ -26,20 +26,16 @@ from .poset import (
     from_pairs,
     induced,
 )
-from .record import Single, set_values
+from .record import Record
 
 #: The zig-zag pattern: 0 < 1, 2 < 1, 2 < 3 and no other relations.
 ZIGZAG = from_pairs(4, [(0, 1), (2, 1), (2, 3)])
 
 
-class Obstruction(Single):
+class Obstruction(Record):
     """Four elements whose induced order is exactly the zig-zag."""
 
-    __match_args__ = ("elements",)
-    __slots__ = ()
-
-    def __init__(self, elements: tuple[int, int, int, int]):
-        set_values(self, elements)
+    __slots__ = ("elements",)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -76,6 +76,9 @@ class Unit(_Term):
     def __new__(cls):
         return UNIT
 
+    def __reduce__(self):
+        return Unit, ()
+
     def __repr__(self):
         return "Unit"
 
@@ -96,6 +99,9 @@ class Var(_Term):
             _set(node, "low", index)
             _intern(key, node)
         return node
+
+    def __reduce__(self):
+        return Var, (self.index,)
 
     def __repr__(self):
         return f"Var({self.index})"
@@ -128,6 +134,9 @@ class _Product(_Term):
             _set(node, "low", low)
             _intern(key, node)
         return node
+
+    def __reduce__(self):
+        return type(self), (self.children,)
 
 
 class Otimes(_Product):

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .errors import ArityError, InvalidExtension, SizeError
 from .poset import FinitePoset, _is_json_int, is_linear_extension
-from .record import Record, Single, set_values, setters
+from .record import Record
 
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
@@ -38,16 +38,15 @@ BOX_MAX_POSITIONS = 4
 MAX_COMPOSE_ENTRIES = 1 << 20
 
 
-class FinitePolynomial(Single):
+class FinitePolynomial(Record):
     """Direction count per position; position order is part of the value."""
 
-    __match_args__ = ("directions",)
-    __slots__ = ()
+    __slots__ = ("directions",)
 
     def __init__(self, directions: tuple[int, ...]):
         if any(d < 0 for d in directions):
             raise ValueError("direction counts must be nonnegative")
-        set_values(self, directions)
+        super().__init__(directions)
 
     @property
     def positions(self) -> int:
@@ -61,14 +60,10 @@ def poly(*directions: int) -> FinitePolynomial:
     return FinitePolynomial(tuple(directions))
 
 
-class PolySignature(Single):
+class PolySignature(Record):
     """Multiset of direction counts: the position-reordering invariant."""
 
-    __match_args__ = ("counts",)
-    __slots__ = ()
-
-    def __init__(self, counts: tuple[int, ...]):
-        set_values(self, counts)
+    __slots__ = ("counts",)
 
 
 def signature(p: FinitePolynomial) -> PolySignature:
@@ -102,18 +97,6 @@ class PolyMorphism(Record):
     """
 
     __slots__ = ("source", "target", "position_map", "direction_maps")
-
-    def __init__(self, source: FinitePolynomial, target: FinitePolynomial,
-                 position_map: tuple[int, ...], direction_maps: tuple[tuple[int, ...], ...]):
-        set_values(self, (source, target, position_map, direction_maps))
-        _morphism_source(self, source)
-        _morphism_target(self, target)
-        _morphism_position_map(self, position_map)
-        _morphism_direction_maps(self, direction_maps)
-
-
-(_morphism_source, _morphism_target, _morphism_position_map,
- _morphism_direction_maps) = setters(PolyMorphism)
 
 
 def is_valid_morphism(m: PolyMorphism) -> bool:

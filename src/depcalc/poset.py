@@ -23,7 +23,7 @@ from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import ArityError, CycleError, SizeError
-from .record import Immutable, Single, set_values
+from .record import Record
 
 ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the millions
 
@@ -33,7 +33,7 @@ ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the mill
 MAX_ELEMENTS = 1 << 14
 
 
-class FinitePoset(Immutable):
+class FinitePoset(Record):
     """A strict partial order, transitively closed, on elements 0..size-1.
 
     ``rows[i]`` is the mask of the elements strictly above i.  Build values
@@ -52,16 +52,7 @@ class FinitePoset(Immutable):
             raise ValueError(f"expected {size} rows, got {len(rows)}")
         if rows and (min(rows) < 0 or max(rows) >> size):
             raise ValueError("relation rows out of range for size")
-        _set_size(self, size)
-        _set_rows(self, rows)
-
-    def __eq__(self, other):
-        if type(other) is not FinitePoset:
-            return NotImplemented
-        return self.size == other.size and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.size, self.rows))
+        super().__init__(size, rows)
 
     def lt(self, i: int, j: int) -> bool:
         """True iff i < j in this poset."""
@@ -99,11 +90,6 @@ class FinitePoset(Immutable):
 
     def __repr__(self):
         return f"FinitePoset({self.size}, {self.pairs()!r})"
-
-
-# The slots' own setters: they write past Immutable's assignment guard.
-_set_size = FinitePoset.size.__set__
-_set_rows = FinitePoset.rows.__set__
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
@@ -242,14 +228,10 @@ def induced(p: FinitePoset, elements: Iterable[int]) -> FinitePoset:
     return FinitePoset(len(elems), tuple(rows))
 
 
-class Embedding(Single):
+class Embedding(Record):
     """An injective, order-preserving and order-reflecting element map."""
 
-    __match_args__ = ("mapping",)
-    __slots__ = ()
-
-    def __init__(self, mapping: tuple[int, ...]):
-        set_values(self, mapping)
+    __slots__ = ("mapping",)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]

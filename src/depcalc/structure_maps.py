@@ -32,14 +32,16 @@ tests inclusion variable by variable, so a fault in the derivation's splits
 cannot make a wrong derivation check out.  The one node it accepts without
 evaluating is an ``Equiv`` whose two sides are the same term: the identity.
 
-Proof nodes are immutable ``__slots__`` objects with a hash computed once from
-their children's; they are not interned, and compare field by field.  Each
-node keeps its source and target once they are first read, and the checker's
+Proof nodes are records (``depcalc.record``) whose fields are their children,
+or an ``Equiv``'s two terms; they are not interned.  Each stores the hash of
+its field tuple, computed once as it is built, and compares by class, then
+identity, then that hash, then field by field.  Outside its fields a node
+keeps its source and target once they are first read, and the checker's
 verdict once it is checked, so shared subtrees are neither rebuilt nor
-re-checked, and both records are freed with the node.  Both are filled
-children first from an explicit stack.  Proof text composes each term's text
-from its children's, memoized over one call.  ``_derive`` and
-``format_proof`` still recurse once per level.
+re-checked, and both are freed with the node.  Both are filled children first
+from an explicit stack; an ``Equiv``'s endpoints are its fields.  Proof text
+composes each term's text from its children's, memoized over one call.
+``_derive`` and ``format_proof`` still recurse once per level.
 """
 
 from __future__ import annotations
@@ -64,119 +66,75 @@ from .expression import (
 )
 from .expressible import Obstruction, decompose
 from .poset import FinitePoset, is_inclusion
-from .record import Immutable
+from .record import Record
 
 
-class _Proof(Immutable):
-    """Derivation node with a stored hash, endpoints and verdict; not interned."""
+class _Proof(Record):
+    """Derivation node with a stored hash, endpoints and verdict; not interned.
+
+    Its fields are its subclass's; the four slots here are not among them.
+    """
 
     __slots__ = ("_hash", "_source", "_target", "_verdict")
-    _tag = 0
+    __match_args__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # Record.__init__ in one pass with the hash: the field tuple it
+        # writes is the one hashed.  An Equiv's fields then fill its endpoints.
+        _set(self, "_source", None)
+        _set(self, "_target", None)
+        _set(self, "_verdict", None)
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._arguments(args, kwargs)
+        for write, value in zip(setters, args):
+            write(self, value)
+        _set(self, "_hash", hash(args))
 
     def __hash__(self):
         return self._hash
 
-    def _init(self, fields: tuple, source=None, target=None) -> None:
-        _set(self, "_hash", hash((self._tag, *fields)))
-        _set(self, "_source", source)
-        _set(self, "_target", target)
-        _set(self, "_verdict", None)
-
     def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return self is other or (
-            type(other) is type(self)
-            and other._hash == self._hash
-            and other._fields() == self._fields()
+            other._hash == self._hash and self._key(self) == self._key(other)
         )
 
 
 class Equiv(_Proof):
+    """The identity or a canonical-form coercion; its fields are its endpoints."""
+
+    __match_args__ = ("source", "target")
     __slots__ = ()
-    _tag = 1
-
-    def __init__(self, source: Expression, target: Expression):
-        self._init((source, target), source, target)
-
-    @property
-    def source(self) -> Expression:
-        return self._source
-
-    @property
-    def target(self) -> Expression:
-        return self._target
-
-    def _fields(self) -> tuple:
-        return self._source, self._target
-
-    def __repr__(self):
-        return f"Equiv(source={self._source!r}, target={self._target!r})"
+    source = _Proof._source
+    target = _Proof._target
 
 
 class Compose(_Proof):
     __slots__ = ("left", "right")
-    _tag = 2
-
-    def __init__(self, left: "Proof", right: "Proof"):
-        self._init((left, right))
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def _fields(self) -> tuple:
-        return self.left, self.right
-
-    def __repr__(self):
-        return f"Compose(left={self.left!r}, right={self.right!r})"
 
 
 class _Par(_Proof):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple["Proof", ...]):
-        parts = tuple(parts)
-        self._init((parts,))
-        _set(self, "parts", parts)
-
-    def _fields(self) -> tuple:
-        return self.parts
-
-    def __repr__(self):
-        return f"{type(self).__name__}(parts={self.parts!r})"
-
 
 class OtimesPar(_Par):
     __slots__ = ()
-    _tag = 3
 
 
 class TriPar(_Par):
     __slots__ = ()
-    _tag = 4
 
 
 class InterchangerSubst(_Proof):
     """Corners in reading order: (a tri b) ox (c tri d) -> (a ox c) tri (b ox d)."""
 
     __slots__ = ("corner_a", "corner_b", "corner_c", "corner_d")
-    _tag = 5
-
-    def __init__(self, corner_a: "Proof", corner_b: "Proof", corner_c: "Proof",
-                 corner_d: "Proof"):
-        self._init((corner_a, corner_b, corner_c, corner_d))
-        _set(self, "corner_a", corner_a)
-        _set(self, "corner_b", corner_b)
-        _set(self, "corner_c", corner_c)
-        _set(self, "corner_d", corner_d)
 
     @property
     def corners(self) -> tuple["Proof", ...]:
-        return (self.corner_a, self.corner_b, self.corner_c, self.corner_d)
-
-    def _fields(self) -> tuple:
-        return self.corners
-
-    def __repr__(self):
-        a, b, c, d = (repr(x) for x in self.corners)
-        return f"InterchangerSubst(corner_a={a}, corner_b={b}, corner_c={c}, corner_d={d})"
+        return self._key(self)
 
 
 Proof = Union[Equiv, Compose, OtimesPar, TriPar, InterchangerSubst]
@@ -191,7 +149,9 @@ _KIND = {
 
 
 def _subproofs(p: Proof) -> tuple:
-    return () if isinstance(p, Equiv) else p._fields()
+    if type(p) is Equiv:
+        return ()
+    return p.parts if isinstance(p, _Par) else p._key(p)
 
 
 def _fill_endpoints(p: Proof) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import ArityError, SizeError
 from .poset import FinitePoset, _kahn, _mask_elements, cover_masks
-from .record import Record, set_values, setters
+from .record import Record
 
 Runtime = Fraction
 
@@ -89,17 +89,6 @@ class Schedule(Record):
     """Earliest-start schedule: finish_i = start_i + runtime_i, makespan = max finish."""
 
     __slots__ = ("start", "finish", "makespan", "critical_chain")
-
-    def __init__(self, start: tuple[Runtime, ...], finish: tuple[Runtime, ...],
-                 makespan: Runtime, critical_chain: tuple[int, ...]):
-        set_values(self, (start, finish, makespan, critical_chain))
-        _schedule_start(self, start)
-        _schedule_finish(self, finish)
-        _schedule_makespan(self, makespan)
-        _schedule_critical_chain(self, critical_chain)
-
-
-_schedule_start, _schedule_finish, _schedule_makespan, _schedule_critical_chain = setters(Schedule)
 
 
 def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:

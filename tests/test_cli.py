@@ -599,6 +599,41 @@ def test_bad_polygraph_exits_two_with_one_line(write, capsys, polygraph, message
     assert (code, err) == (2, message)
 
 
+GOOD_POLYGRAPH = {"types": ["w", "q"], "compat": [["w", "w"], ["w", "q"]], "generators": {}}
+GOOD_DIAGRAM = {"input": ["w", "w"], "output": ["w", "w"], "layers": [[{"swap": ["w", "w"]}]]}
+
+
+@pytest.mark.parametrize(
+    "polygraph, diagram, message",
+    [
+        ({"types": "wq"}, {}, "'types' must be a list, got 'wq'"),
+        ({"compat": "ww"}, {}, "'compat' must be a list, got 'ww'"),
+        ({"compat": ["ww", "wq"]}, {}, "a compat pair must be a list of 2 entries, got 'ww'"),
+        ({"compat": [["w", "w", "w"]]}, {},
+         "a compat pair must be a list of 2 entries, got ['w', 'w', 'w']"),
+        ({}, {"input": "ww"}, "'input' must be a list, got 'ww'"),
+        ({}, {"output": "ww"}, "'output' must be a list, got 'ww'"),
+        ({}, {"layers": "ww"}, "'layers' must be a list, got 'ww'"),
+        ({}, {"layers": [{"swap": ["w", "w"]}]},
+         "a layer must be a list, got {'swap': ['w', 'w']}"),
+        ({}, {"layers": [[{"swap": "ww"}]]}, "'swap' must be a list of 2 entries, got 'ww'"),
+        ({}, {"layers": [[{"swap": ["w"]}]]}, "'swap' must be a list of 2 entries, got ['w']"),
+    ],
+)
+def test_json_strings_where_the_format_says_lists_exit_two(write, capsys, polygraph, diagram,
+                                                           message):
+    pg = write("pg.json", {**GOOD_POLYGRAPH, **polygraph})
+    diag = write("d.json", {**GOOD_DIAGRAM, **diagram})
+    code, out, err = run(capsys, "diagram", "validate", "--polygraph", pg, "--diagram", diag)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_json_lists_where_the_format_says_lists_validate(write, capsys):
+    pg, diag = write("pg.json", GOOD_POLYGRAPH), write("d.json", GOOD_DIAGRAM)
+    code, out, _ = run(capsys, "diagram", "validate", "--polygraph", pg, "--diagram", diag)
+    assert (code, out) == (0, "valid\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "--poset", "/nonexistent/p.json")
     assert code == 2 and "error" in err

@@ -3,8 +3,9 @@
 The library builds its own posets with the row algebra (substitution,
 relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
 relations that come from outside it.  Derivation reads the normal-form terms
-only, never the poset splits that ``decompose`` runs on.  Importing the
-package generates no code, and loads every layer.
+only, never the poset splits that ``decompose`` runs on.  Every value class is
+its field list on the one ``Record`` base.  Importing the package generates no
+code, and loads every layer.
 """
 
 import ast
@@ -12,8 +13,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MemberDescriptorType
 
 import depcalc
+from depcalc import record
 
 SOURCE = Path(depcalc.__file__).parent
 
@@ -87,3 +90,24 @@ def test_import_generates_no_code_and_loads_every_layer():
     loaded = set(done.stdout.split())
     assert not loaded & {"dataclasses", "inspect"}
     assert {f"depcalc.{layer}" for layer in LAYERS} <= loaded
+
+
+def _records(cls=record.Record) -> list[type]:
+    subclasses = cls.__subclasses__()
+    return subclasses + [sub for c in subclasses for sub in _records(c)]
+
+
+#: The records that check their fields, and the proof base, which adds a hash,
+#: endpoints and a verdict outside them; no other record has an ``__init__``.
+OWN_INIT = {"FinitePoset", "FinitePolynomial", "PartialPolygraph", "_Proof"}
+
+
+def test_value_classes_are_their_field_lists_on_one_record_base():
+    records = [cls for cls in _records() if cls.__module__.startswith("depcalc.")]
+    assert len(records) >= 23
+    for cls in records:
+        assert cls.__match_args__ or cls.__name__ == "_Proof", cls
+        for name in cls.__match_args__:
+            assert isinstance(getattr(cls, name), MemberDescriptorType), (cls, name)
+    assert {cls.__name__ for cls in records if "__init__" in cls.__dict__} == OWN_INIT
+    assert not {"Single", "set_values", "setters"} & set(vars(record))

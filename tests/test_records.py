@@ -1,9 +1,11 @@
 """The record classes behave as the frozen dataclasses they replace.
 
-Each record is checked against a reference ``@dataclass(frozen=True)`` with
-the same name and fields, built here: construction, ``==``, hash, ``repr``,
-refused assignment and deletion, pickling, and the validation errors of the
-two records that validate their fields.
+Each record, proof nodes included, is checked against a reference
+``@dataclass(frozen=True)`` with the same name and fields, built here:
+construction, ``==``, hash, ``repr``, refused assignment and deletion,
+pickling, and the validation errors of the two records that validate their
+fields.  Posets, terms and derived proofs survive pickling and copying; terms
+come back as the one interned node.
 """
 
 import copy
@@ -14,14 +16,20 @@ from fractions import Fraction
 import pytest
 
 from depcalc import (
+    UNIT,
+    Compose,
     Decoration,
     Embedding,
+    Equiv,
     FinitePolynomial,
+    FinitePoset,
     GenCell,
     GenInstance,
     IdCell,
+    InterchangerSubst,
     LawCheck,
     Obstruction,
+    OtimesPar,
     PartialPolygraph,
     PolyMorphism,
     PolySignature,
@@ -29,6 +37,13 @@ from depcalc import (
     StageFailure,
     StringDiagram,
     SwapCell,
+    TriPar,
+    Var,
+    antichain,
+    chain,
+    derive_structure_map,
+    from_pairs,
+    parse_expression,
     poly,
 )
 
@@ -63,6 +78,7 @@ GENERATORS = (("f", ("a",), ("b",)),)
 POLYGRAPH = PartialPolygraph(("a", "b"), COMPAT, GENERATORS)
 OTHER_POLYGRAPH = PartialPolygraph(("a", "b"), COMPAT | {("b", "b")}, GENERATORS)
 HALF = Fraction(1, 2)
+LEAF, OTHER_LEAF = Equiv(Var(0), Var(0)), Equiv(Var(1), Var(1))
 
 #: (class, its dataclass fields, sample values, other values, validation hook)
 RECORDS = [
@@ -88,6 +104,12 @@ RECORDS = [
     (Decoration, ["assignment"], ({"f": HALF},), ({"f": Fraction(1)},), None),
     (LawCheck, ["kind", "law", "passed", "details"], ("tensor", "productor", True, "1 vs 1"),
      ("tensor", "productor", False, "1 vs 1"), None),
+    (Equiv, ["source", "target"], (Var(0), Var(0)), (Var(0), Var(1)), None),
+    (Compose, ["left", "right"], (LEAF, OTHER_LEAF), (OTHER_LEAF, LEAF), None),
+    (OtimesPar, ["parts"], ((LEAF, OTHER_LEAF),), ((LEAF,),), None),
+    (TriPar, ["parts"], ((LEAF, OTHER_LEAF),), ((OTHER_LEAF, LEAF),), None),
+    (InterchangerSubst, ["corner_a", "corner_b", "corner_c", "corner_d"],
+     (LEAF, OTHER_LEAF, LEAF, LEAF), (LEAF, LEAF, LEAF, LEAF), None),
 ]
 
 
@@ -148,3 +170,29 @@ def test_total_is_computed_once_and_is_not_a_field():
     assert "total" not in repr(POLYGRAPH)
     with pytest.raises(AttributeError):
         POLYGRAPH.total = True
+
+
+def _round_trips(value):
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+def test_poset_hashes_as_its_size_and_rows_and_survives_copying():
+    p = chain(3)
+    assert hash(p) == hash((p.size, p.rows))
+    twin = from_pairs(3, [(1, 2), (0, 1)])
+    assert twin is not p and twin == p and hash(twin) == hash(p)
+    assert p != antichain(3) and p.__eq__((p.size, p.rows)) is NotImplemented
+    for copied in _round_trips(p):
+        assert type(copied) is FinitePoset and copied == p and repr(copied) == repr(p)
+
+
+@pytest.mark.parametrize("term", [UNIT, Var(3), parse_expression("(ox x0 (tri x1 x2))")],
+                         ids=repr)
+def test_terms_copy_to_the_interned_node(term):
+    assert all(copied is term for copied in _round_trips(term))
+
+
+def test_derived_proofs_survive_copying():
+    proof = derive_structure_map(antichain(3), chain(3))
+    for copied in _round_trips(proof):
+        assert copied == proof and hash(copied) == hash(proof) and repr(copied) == repr(proof)
