@@ -603,6 +603,13 @@ def _json_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
+def _json_name(value, what: str) -> str:
+    """``value`` if it is a JSON string (a type or generator name), else a one-line error."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
     if not isinstance(data, dict) or "types" not in data or "generators" not in data:
         raise ValueError("polygraph JSON needs 'types' and 'generators'")
@@ -614,9 +621,13 @@ def polygraph_from_json_dict(data: dict) -> PartialPolygraph:
     for name, entry in data["generators"].items():
         if not all(isinstance(entry.get(key), list) for key in ("src", "tgt")):
             raise ValueError(f"generator {name!r} needs 'src' and 'tgt' lists of types")
-        generators[str(name)] = (entry["src"], entry["tgt"])
-    types = [str(t) for t in _json_list(data["types"], "'types'")]
-    compat = [tuple(_json_list(pair, "a compat pair", 2))
+        generators[_json_name(name, "a generator name")] = tuple(
+            [_json_name(t, f"an entry of {key!r} of generator {name!r}") for t in entry[key]]
+            for key in ("src", "tgt")
+        )
+    types = [_json_name(t, "an entry of 'types'") for t in _json_list(data["types"], "'types'")]
+    compat = [tuple(_json_name(t, "an entry of a compat pair")
+                    for t in _json_list(pair, "a compat pair", 2))
               for pair in _json_list(data.get("compat", []), "'compat'")]
     return make_polygraph(types, compat, generators)
 
@@ -629,21 +640,20 @@ def diagram_from_json_dict(polygraph: PartialPolygraph, data: dict) -> StringDia
         if not isinstance(entry, dict) or len(entry) != 1:
             raise ValueError(f"bad cell {entry!r}")
         if "gen" in entry:
-            return GenCell(str(entry["gen"]))
+            return GenCell(_json_name(entry["gen"], "'gen'"))
         if "id" in entry:
-            return IdCell(str(entry["id"]))
+            return IdCell(_json_name(entry["id"], "'id'"))
         if "swap" in entry:
-            left, right = _json_list(entry["swap"], "'swap'", 2)
-            return SwapCell(str(left), str(right))
+            return SwapCell(*(_json_name(t, "an entry of 'swap'")
+                              for t in _json_list(entry["swap"], "'swap'", 2)))
         raise ValueError(f"bad cell {entry!r}")
 
     layers = tuple(
         tuple(map(parse_cell, _json_list(layer, "a layer")))
         for layer in _json_list(data.get("layers", []), "'layers'")
     )
-    return StringDiagram(
-        polygraph,
-        tuple(str(t) for t in _json_list(data.get("input", []), "'input'")),
-        tuple(str(t) for t in _json_list(data.get("output", []), "'output'")),
-        layers,
+    inputs, outputs = (
+        tuple(_json_name(t, f"an entry of {key!r}") for t in _json_list(data.get(key, []), repr(key)))
+        for key in ("input", "output")
     )
+    return StringDiagram(polygraph, inputs, outputs, layers)

@@ -17,7 +17,13 @@ reference, and its table entry with it.  Nodes are immutable ``__slots__``
 objects; each carries ``mask``, with bit v set for every variable x<v> in
 it, and ``low``, its least variable, taken from a child, which ``ox`` sorts
 by.  So building, hashing and the linearity check cost O(children) per
-node, and nothing walks a subterm again.
+node, and nothing walks a subterm again.  A node's last slot, ``_text``,
+holds its ``format_expression`` text once something has composed it: a
+variable's and the unit's are set as they are built, and a product's is
+filled by ``structure_maps`` from its children's as a proof first prints
+it.  Like any attribute memoized on a hash-consed value (as in that paper),
+a text lives exactly as long as its term.  ``format_expression`` itself
+keeps no texts, so formatting a deep term retains nothing.
 
 Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i
 (ASCII digits only), ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at
@@ -65,9 +71,14 @@ def _intern(key: tuple, node: "_Term") -> None:
 
 
 class _Term(Immutable):
-    """Term node: ``mask`` of its variables, ``low``, the least; identity-hashed."""
+    """Term node: ``mask`` of its variables, ``low``, the least; identity-hashed.
 
-    __slots__ = ("mask", "low", "__weakref__")
+    ``_text`` is the term's ``format_expression`` text once it is known: set
+    as a variable or the unit is built, left ``None`` on a product until
+    ``structure_maps`` composes it from its children's.
+    """
+
+    __slots__ = ("mask", "low", "_text", "__weakref__")
 
 
 class Unit(_Term):
@@ -97,6 +108,7 @@ class Var(_Term):
             _set(node, "index", index)
             _set(node, "mask", 1 << index)
             _set(node, "low", index)
+            _set(node, "_text", f"x{index}")
             _intern(key, node)
         return node
 
@@ -132,6 +144,7 @@ class _Product(_Term):
             _set(node, "children", children)
             _set(node, "mask", mask)
             _set(node, "low", low)
+            _set(node, "_text", None)
             _intern(key, node)
         return node
 
@@ -158,6 +171,7 @@ Expression = Union[Unit, Var, Otimes, Tri]
 UNIT = object.__new__(Unit)
 _set(UNIT, "mask", 0)
 _set(UNIT, "low", -1)
+_set(UNIT, "_text", "e")
 
 #: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser,
 #: ``normalize`` and ``repr`` recurse once per level; this keeps a parsed term

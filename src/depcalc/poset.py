@@ -273,30 +273,43 @@ def full_embeddings(pattern: FinitePoset, target: FinitePoset) -> list[Embedding
 def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
     """Every total order containing p, as element sequences bottom to top."""
     n = p.size
-    preds = [near & ~row for near, row in zip(comparability_graph(p.rows), p.rows)]
+    covers = list(map(_mask_elements, cover_masks(p.rows)))
+    # As in ``_kahn``: an element is ready once its lower covers are all
+    # placed.  Placing one, or backing up past it, steps once per cover.
+    waiting = [0] * n
+    for ups in covers:
+        for up in ups:
+            waiting[up] += 1
+    ready = sum(1 << e for e, count in enumerate(waiting) if count == 0)
     out: list[tuple[int, ...]] = []
     order: list[int] = []
-    remaining = (1 << n) - 1
     # Depth-first from an explicit stack, so a long order costs no recursion:
-    # one mask per position of ``order`` so far, of the candidates not yet
+    # one mask per position of ``order`` so far, of the ready elements not yet
     # tried there, each tried in increasing order, so the output is sorted.
-    untried = [remaining]
+    untried = [ready]
     while untried:
         m = untried.pop()
-        if not remaining:
+        if m:
+            low = m & -m
+            untried.append(m ^ low)
+            e = low.bit_length() - 1
+            order.append(e)
+            ready ^= low
+            for up in covers[e]:
+                waiting[up] -= 1
+                if not waiting[up]:
+                    ready |= 1 << up
+            untried.append(ready)
+            continue
+        if len(order) == n:  # nothing is ready once every element is placed
             out.append(tuple(order))
-        else:
-            while m and preds[(m & -m).bit_length() - 1] & remaining:
-                m &= m - 1
-            if m:
-                low = m & -m
-                untried.append(m ^ low)
-                order.append(low.bit_length() - 1)
-                remaining ^= low
-                untried.append(remaining)
-                continue
         if order:  # back up past the last element placed
-            remaining |= 1 << order.pop()
+            e = order.pop()
+            for up in covers[e]:
+                if not waiting[up]:
+                    ready ^= 1 << up
+                waiting[up] += 1
+            ready |= 1 << e
     return out
 
 

@@ -39,15 +39,20 @@ identity, then that hash, then field by field.  Outside its fields a node
 keeps its source and target once they are first read, and the checker's
 verdict once it is checked, so shared subtrees are neither rebuilt nor
 re-checked, and both are freed with the node.  Both are filled children first
-from an explicit stack; an ``Equiv``'s endpoints are its fields.  Proof text
-composes each term's text from its children's, memoized over one call.
-``_derive`` and ``format_proof`` still recurse once per level.
+from an explicit stack; an ``Equiv``'s endpoints are its fields.
+
+Proof text (``format_proof`` and the JSON tree) walks the proof from an
+explicit stack and reads each endpoint's text from the term's ``_text`` slot.
+A product's text is composed from its children's the first time any proof
+prints it (``_text``), then kept on the term, so it is built once per
+interned term and freed with it.  ``_derive`` and ``_restrict`` still
+recurse once per level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import and_, invert
+from operator import and_, attrgetter, invert
 from typing import Union
 
 from .errors import DepcalcError, NotExpressible, NotInclusion
@@ -56,8 +61,6 @@ from .expression import (
     Expression,
     Otimes,
     Tri,
-    Var,
-    _Product,
     _low,
     _set,
     ox,
@@ -67,6 +70,8 @@ from .expression import (
 from .expressible import Obstruction, decompose
 from .poset import FinitePoset, is_inclusion
 from .record import Record
+
+_get_text = attrgetter("_text")
 
 
 class _Proof(Record):
@@ -365,51 +370,52 @@ def _check(p: Proof, memo: dict) -> bool:
     return type(p) is not Compose or p.left._target is p.right._source
 
 
-class _Texts(dict):
-    """Term to ``format_expression`` text, memoized over one call.
+def _text(e: Expression) -> str:
+    """``format_expression`` of ``e``, composed once and kept on the term.
 
-    A miss lists the term's unformatted subterms, parents first (terms are
-    trees), and composes their texts in reverse, each from its children's.
+    A product's missing text is filled children first: its subterms without
+    a text are listed parents first (terms are trees), then composed in
+    reverse, each from its children's.  The text dies with its term.
     """
-
-    def __missing__(self, e: Expression) -> str:
+    if e._text is None:
         todo = [e]
         for node in todo:  # grows as it goes
-            if isinstance(node, _Product):
-                todo.extend([c for c in node.children if c not in self])
+            todo.extend([c for c in node.children if c._text is None])
         for node in reversed(todo):
-            if isinstance(node, _Product):
-                head = "(ox" if type(node) is Otimes else "(tri"
-                self[node] = " ".join([head, *map(self.__getitem__, node.children)]) + ")"
-            else:
-                self[node] = f"x{node.index}" if type(node) is Var else "e"
-        return self[e]
+            head = "(ox" if type(node) is Otimes else "(tri"
+            _set(node, "_text", " ".join([head, *map(_get_text, node.children)]) + ")")
+    return e._text
 
 
 def format_proof(p: Proof) -> str:
     """Indented derivation-tree text, one node kind per line."""
     proof_source(p)  # fills every node's endpoints, children first
-    text = _Texts()
     lines: list[str] = []
-
-    def emit(node: Proof, depth: int) -> None:
-        src, tgt = text[node._source], text[node._target]
-        lines.append(f"{'  ' * depth}{_KIND[type(node)]}: {src} => {tgt}")
-        for child in _subproofs(node):
-            emit(child, depth + 1)
-
-    emit(p, 0)
+    stack = [(p, "")]  # preorder, so depth costs no recursion
+    while stack:
+        node, indent = stack.pop()
+        src, tgt = node._source, node._target
+        src, tgt = src._text or _text(src), tgt._text or _text(tgt)
+        lines.append(f"{indent}{_KIND[type(node)]}: {src} => {tgt}")
+        subs = _subproofs(node)
+        if subs:
+            indent += "  "
+            stack.extend([(child, indent) for child in reversed(subs)])
     return "\n".join(lines)
 
 
 def proof_to_json_dict(p: Proof) -> dict:
     proof_source(p)  # fills every node's endpoints, children first
-    text = _Texts()
-
-    def node(q: Proof) -> dict:
-        out = {"kind": _KIND[type(q)], "source": text[q._source], "target": text[q._target]}
-        if not isinstance(q, Equiv):
-            out["children"] = [node(c) for c in _subproofs(q)]
-        return out
-
-    return node(p)
+    root: dict = {}
+    stack = [(p, root)]  # each node fills its own dict, so depth costs no recursion
+    while stack:
+        node, out = stack.pop()
+        src, tgt = node._source, node._target
+        out["kind"] = _KIND[type(node)]
+        out["source"] = src._text or _text(src)
+        out["target"] = tgt._text or _text(tgt)
+        if type(node) is not Equiv:
+            subs = _subproofs(node)
+            out["children"] = children = [{} for _ in subs]
+            stack.extend(zip(subs, children))
+    return root

@@ -628,6 +628,33 @@ def test_json_strings_where_the_format_says_lists_exit_two(write, capsys, polygr
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "polygraph, diagram, message",
+    [
+        ({"types": ["w", 1]}, {}, "an entry of 'types' must be a string, got 1"),
+        ({"compat": [["w", ["w"]]]}, {}, "an entry of a compat pair must be a string, got ['w']"),
+        ({"generators": {"f": {"src": [["w"]], "tgt": []}}}, {},
+         "an entry of 'src' of generator 'f' must be a string, got ['w']"),
+        ({"generators": {"f": {"src": [], "tgt": ["w", None]}}}, {},
+         "an entry of 'tgt' of generator 'f' must be a string, got None"),
+        ({"generators": {"f": {"src": ["w"], "tgt": ["w"]}}},
+         {"input": ["w"], "output": ["w"], "layers": [[{"gen": ["f"]}]]},
+         "'gen' must be a string, got ['f']"),
+        ({}, {"input": ["w"], "output": ["w"], "layers": [[{"id": 0}]]},
+         "'id' must be a string, got 0"),
+        ({}, {"layers": [[{"swap": ["w", True]}]]}, "an entry of 'swap' must be a string, got True"),
+        ({}, {"input": [["w"], "w"]}, "an entry of 'input' must be a string, got ['w']"),
+        ({}, {"output": ["w", 1.5]}, "an entry of 'output' must be a string, got 1.5"),
+    ],
+)
+def test_json_non_strings_where_the_format_says_names_exit_two(write, capsys, polygraph, diagram,
+                                                               message):
+    pg = write("pg.json", {**GOOD_POLYGRAPH, **polygraph})
+    diag = write("d.json", {**GOOD_DIAGRAM, **diagram})
+    code, out, err = run(capsys, "diagram", "validate", "--polygraph", pg, "--diagram", diag)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_json_lists_where_the_format_says_lists_validate(write, capsys):
     pg, diag = write("pg.json", GOOD_POLYGRAPH), write("d.json", GOOD_DIAGRAM)
     code, out, _ = run(capsys, "diagram", "validate", "--polygraph", pg, "--diagram", diag)

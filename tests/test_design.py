@@ -4,7 +4,8 @@ The library builds its own posets with the row algebra (substitution,
 relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
 relations that come from outside it.  Derivation reads the normal-form terms
 only, never the poset splits that ``decompose`` runs on.  Every value class is
-its field list on the one ``Record`` base.  Importing the package generates no
+its field list on the one ``Record`` base.  Only the two derivation walks of
+``structure_maps`` still recurse.  Importing the package generates no
 code, and loads every layer.
 """
 
@@ -111,3 +112,25 @@ def test_value_classes_are_their_field_lists_on_one_record_base():
             assert isinstance(getattr(cls, name), MemberDescriptorType), (cls, name)
     assert {cls.__name__ for cls in records if "__init__" in cls.__dict__} == OWN_INIT
     assert not {"Single", "set_values", "setters"} & set(vars(record))
+
+
+#: The functions of ``structure_maps`` that still recurse once per level.
+RECURSIVE = {"_derive", "_restrict"}
+
+
+def test_structure_maps_recurses_only_where_planned():
+    # A function recurses if its body, nested defs included, names it; proof
+    # text is read from a slot on each term, not from a per-call table.
+    path = SOURCE / "structure_maps.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert "_Texts" not in defined
+    recursive = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, ast.Name) and inner.id == node.name
+                for statement in node.body for inner in ast.walk(statement))
+    }
+    assert recursive == RECURSIVE

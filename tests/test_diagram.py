@@ -431,6 +431,12 @@ def test_polygraph_json_generator_entries_need_src_and_tgt_lists():
             polygraph_from_json_dict({"types": ["w"], "generators": {"a": entry}})
 
 
+def test_polygraph_json_generator_names_must_be_strings():
+    # JSON object keys are strings; a dict built in Python may hold others.
+    with pytest.raises(ValueError, match="^a generator name must be a string, got 1$"):
+        polygraph_from_json_dict({"types": ["w"], "generators": {1: {"src": [], "tgt": []}}})
+
+
 def test_make_polygraph_rejects_undeclared_compat_types():
     with pytest.raises(ValueError, match="compat pair \\('w', 'q'\\) uses unknown type 'q'"):
         make_polygraph(["w"], [("w", "q")], {})

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
@@ -25,6 +26,7 @@ from depcalc import (
     derive_structure_map,
     enumerate_posets,
     evaluate,
+    format_expression,
     format_proof,
     from_pairs,
     is_inclusion,
@@ -32,10 +34,18 @@ from depcalc import (
     verify_proof,
 )
 from depcalc import expressible, expression, structure_maps
-from depcalc.expression import Var, up_sets
+from depcalc.expression import UNIT, Otimes, Tri, Var, up_sets
 from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dict
 
-from conftest import buildable_posets, oracle_evaluate, oracle_verify_proof, packed, relabel
+from conftest import (
+    all_posets,
+    buildable_posets,
+    oracle_evaluate,
+    oracle_verify_proof,
+    packed,
+    random_sp_poset,
+    relabel,
+)
 
 INTER_DOMAIN = evaluate(parse_expression("(ox (tri x0 x1) (tri x2 x3))"))
 INTER_CODOMAIN = evaluate(parse_expression("(tri (ox x0 x2) (ox x1 x3))"))
@@ -206,13 +216,14 @@ def test_endpoints_and_verdict_stay_on_the_node():
     assert verify_proof(proof) and verify_proof(proof)
 
 
-def test_verifying_distinct_proofs_holds_no_memory():
-    def check(k):
-        a, b, c, d = _corners(4 * k)
-        after = TriPar((OtimesPar((a, c)), OtimesPar((b, d))))
-        proof = Compose(InterchangerSubst(a, b, c, d), after)
-        assert verify_proof(proof)
+def _distinct_proof(k):
+    a, b, c, d = _corners(4 * k)
+    after = TriPar((OtimesPar((a, c)), OtimesPar((b, d))))
+    return Compose(InterchangerSubst(a, b, c, d), after)
 
+
+def _assert_holds_no_memory(check):
+    """Run ``check(k)`` for k = 1..2000 and assert that nothing it made outlives it."""
     # The intern table's own storage is left out: a resize while tracing
     # counts its new array but not the old one it frees.  The table's
     # entries are counted instead.
@@ -241,6 +252,71 @@ def test_verifying_distinct_proofs_holds_no_memory():
         tracemalloc.stop()
     assert grown < 64 * 1024
     assert len(expression._TABLE) == entries
+
+
+def test_verifying_distinct_proofs_holds_no_memory():
+    def check(k):
+        assert verify_proof(_distinct_proof(k))
+
+    _assert_holds_no_memory(check)
+
+
+def test_formatting_distinct_proofs_holds_no_memory():
+    # Each proof's endpoint texts are composed and kept on its terms, and go
+    # with them.
+    def check(k):
+        proof = _distinct_proof(k)
+        assert format_proof(proof).count("\n") == 12
+        assert json.dumps(proof_to_json_dict(proof)).count('"kind"') == 13
+
+    _assert_holds_no_memory(check)
+
+
+def _subterms(term):
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, "children", ()))
+
+
+def test_term_text_slot_is_format_expression():
+    terms = [term for n in range(6) for p in all_posets(n)
+             if not isinstance(term := decompose(p), Obstruction)]
+    rng = random.Random(18)
+    terms += [decompose(random_sp_poset(rng, n)) for n in (8, 16, 32, 64, 128, 256) for _ in range(4)]
+    # Hand-built terms that are not normal: unit children, empty products and
+    # a child held twice.
+    x0, x1, x2 = Var(0), Var(1), Var(2)
+    terms += [UNIT, Otimes(()), Tri((UNIT,)), Tri((UNIT, x0)),
+              Otimes((x1, Tri((UNIT, x2)), UNIT)), Tri((Otimes((x0, UNIT)), Otimes((UNIT,)))),
+              Tri((Otimes(()), Otimes(())))]
+    for term in terms:
+        text = format_expression(term)
+        assert term._text in (None, text)
+        assert structure_maps._text(term) == text
+        for sub in _subterms(term):
+            assert sub._text == format_expression(sub)
+
+
+def test_proof_deeper_than_the_recursion_limit_formats():
+    depth = sys.getrecursionlimit() + 100
+    leaf = Equiv(Var(0), Var(0))
+    proof = leaf
+    for _ in range(depth):
+        proof = Compose(proof, leaf)
+    nodes = 2 * depth + 1
+    lines = format_proof(proof).split("\n")
+    assert len(lines) == nodes
+    assert lines[0] == "compose: x0 => x0"
+    assert lines[depth] == "  " * depth + "equiv: x0 => x0"
+    count, stack = 0, [proof_to_json_dict(proof)]
+    while stack:
+        node = stack.pop()
+        count += 1
+        assert (node["source"], node["target"]) == ("x0", "x0")
+        stack.extend(node.get("children", ()))
+    assert count == nodes
 
 
 def test_completeness_small():
