@@ -25,9 +25,9 @@ from .structure_maps import derive_structure_map, format_proof, proof_to_json_di
 from .tropical import as_runtime, render_gantt, schedule
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse_float=float):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_float=parse_float)
 
 
 def _load_poset(path: str) -> ps.FinitePoset:
@@ -43,8 +43,15 @@ def _emit_poset(p: ps.FinitePoset, fmt: str) -> str:
         return json.dumps(ps.to_json_dict(p), sort_keys=True)
     if fmt == "dot":
         return ps.to_dot(p)
-    pairs = " ".join(f"{i}<{j}" for i, j in p.pairs()) or "(none)"
-    return f"elements: {p.size}\nrelations: {pairs}"
+    return f"elements: {p.size}\nrelations: {_pairs_text(p)}"
+
+
+def _pairs_text(p: ps.FinitePoset) -> str:
+    return " ".join(f"{i}<{j}" for i, j in p.pairs()) or "(none)"
+
+
+def _zigzag_line(witness: Obstruction) -> str:
+    return "not expressible; zig-zag at " + " ".join(map(str, witness.elements))
 
 
 def _print(text: str) -> None:
@@ -64,7 +71,7 @@ def cmd_check(args) -> int:
     elif witness is None:
         _print("expressible")
     else:
-        _print("not expressible; zig-zag at " + " ".join(map(str, witness.elements)))
+        _print(_zigzag_line(witness))
     return 0 if witness is None else 1
 
 
@@ -79,7 +86,7 @@ def cmd_decompose(args) -> int:
         }
         _print(json.dumps(payload, sort_keys=True))
     elif failed:
-        _print("not expressible; zig-zag at " + " ".join(map(str, result.elements)))
+        _print(_zigzag_line(result))
     else:
         _print(format_expression(result))
     return 1 if failed else 0
@@ -113,8 +120,7 @@ def cmd_covers(args) -> int:
         _print(json.dumps({"covers": [ps.to_json_dict(c) for c in covers]}, sort_keys=True))
     else:
         for cover in covers:
-            pairs = " ".join(f"{i}<{j}" for i, j in cover.pairs()) or "(none)"
-            _print(pairs)
+            _print(_pairs_text(cover))
     return 0
 
 
@@ -182,7 +188,9 @@ def cmd_poly(args) -> int:
 
 def _parse_assignment(args, algebra: str) -> dg.Decoration:
     if args.assign_file:
-        raw = _load_json(args.assign_file)
+        # A runtime is read from its decimal text, exactly, as --assign reads
+        # it; a polynomial rejects the text as it rejects any non-integer.
+        raw = _load_json(args.assign_file, parse_float=str)
         if not isinstance(raw, dict):
             raise ValueError("assignment file must map generator names to values")
         if algebra == "tropical":
@@ -341,8 +349,7 @@ def main(argv=None) -> int:
     except (NotInclusion, NotExpressible) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
-    except (DepcalcError, OSError, ValueError, KeyError, IndexError, TypeError,
-            json.JSONDecodeError) as err:
+    except (DepcalcError, OSError, ValueError, KeyError, IndexError, TypeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except Exception as err:

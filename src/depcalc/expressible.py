@@ -32,13 +32,17 @@ from .record import Record
 ZIGZAG = from_pairs(4, [(0, 1), (2, 1), (2, 3)])
 
 
+#: Entries held by each memo: ``find_z``, ``decompose`` and ``structure_maps._derive``.
+MEMO_SIZE = 1 << 18
+
+
 class Obstruction(Record):
     """Four elements whose induced order is exactly the zig-zag."""
 
     __slots__ = ("elements",)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=MEMO_SIZE)
 def find_z(p: FinitePoset) -> Obstruction | None:
     """The lexicographically least zig-zag quadruple, or None.
 
@@ -72,7 +76,7 @@ def is_expressible(p: FinitePoset) -> bool:
     return not isinstance(decompose(p), Obstruction)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=MEMO_SIZE)
 def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
     """Expression in normal form with evaluate(result) = p, or ``find_z(p)``.
 

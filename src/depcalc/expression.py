@@ -173,10 +173,10 @@ _set(UNIT, "mask", 0)
 _set(UNIT, "low", -1)
 _set(UNIT, "_text", "e")
 
-#: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser,
-#: ``normalize`` and ``repr`` recurse once per level; this keeps a parsed term
-#: well inside Python's default recursion limit even when ox and tri
-#: alternate, so that no level flattens into its parent.
+#: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser and
+#: ``repr`` recurse once per level; this keeps a parsed term well inside
+#: Python's default recursion limit even when ox and tri alternate, so that no
+#: level flattens into its parent.
 MAX_NESTING = 200
 
 
@@ -214,36 +214,35 @@ def tri(*parts: Expression) -> Expression:
 
 
 def normalize(expr: Expression) -> Expression:
-    """Canonical normal form of an arbitrary well-formed term tree."""
-    if isinstance(expr, (Unit, Var)):
-        return expr
-    if isinstance(expr, Otimes):
-        return ox(*(normalize(c) for c in expr.children))
-    if isinstance(expr, Tri):
-        return tri(*(normalize(c) for c in expr.children))
-    raise MalformedExpression(f"not an expression node: {expr!r}")
+    """Canonical normal form of an arbitrary well-formed term tree.
+
+    Rebuilt children first, each product through ``ox`` or ``tri``, from an
+    explicit stack, so depth costs no recursion.  A normal term is rebuilt
+    from the same children in the same order, so interning returns it.
+    """
+    done: list[Expression] = []  # normal forms of the terms visited, in visit order
+    todo: list = [expr]  # terms to normalize and (constructor, arity) to rebuild
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            make, arity = node
+            cut = len(done) - arity
+            parts = done[cut:]
+            del done[cut:]
+            done.append(make(*parts))
+        elif isinstance(node, _Product):
+            todo.append((ox if isinstance(node, Otimes) else tri, len(node.children)))
+            todo.extend(reversed(node.children))
+        elif isinstance(node, (Unit, Var)):
+            done.append(node)
+        else:
+            raise MalformedExpression(f"not an expression node: {node!r}")
+    return done[0]
 
 
 def is_normal(expr: Expression) -> bool:
-    """True iff the term is already in canonical normal form.
-
-    That holds when no product has fewer than two children, a unit child or a
-    child of its own kind, and every ox lists its children by least variable.
-    """
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, _Product):
-            continue
-        kids = node.children
-        if len(kids) < 2 or any(isinstance(c, (Unit, type(node))) for c in kids):
-            return False
-        if isinstance(node, Otimes):
-            lows = [c.mask & -c.mask for c in kids]
-            if lows != sorted(lows):
-                return False
-        stack.extend(kids)
-    return True
+    """True iff the term is already in canonical normal form: ``normalize`` returns it."""
+    return normalize(expr) is expr
 
 
 def up_sets(expr: Expression, memo: dict | None = None) -> dict[int, int]:

@@ -16,7 +16,6 @@ and unital on the nose and equality of posets is literal equality.
 
 from __future__ import annotations
 
-import heapq
 from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
@@ -155,13 +154,11 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
                 pred[j] |= 1 << i
         left, least = (1 << size) - 1, size
         for v in reversed(finished):
-            comp = frontier = 1 << v & left
-            while frontier:
-                left &= ~frontier
-                frontier = reduce(or_, map(pred.__getitem__, _mask_elements(frontier))) & left
-                comp |= frontier
-            if comp & (comp - 1):  # two or more elements: a cycle
-                least = min(least, (comp & -comp).bit_length() - 1)
+            if left >> v & 1:
+                comp = _reach(pred, 1 << v, left)
+                left &= ~comp
+                if comp & (comp - 1):  # two or more elements: a cycle
+                    least = min(least, (comp & -comp).bit_length() - 1)
         raise CycleError((least, least))
     return FinitePoset(size, tuple(rows))
 
@@ -271,71 +268,57 @@ def full_embeddings(pattern: FinitePoset, target: FinitePoset) -> list[Embedding
 
 
 def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
-    """Every total order containing p, as element sequences bottom to top."""
-    n = p.size
-    covers = list(map(_mask_elements, cover_masks(p.rows)))
-    # As in ``_kahn``: an element is ready once its lower covers are all
-    # placed.  Placing one, or backing up past it, steps once per cover.
-    waiting = [0] * n
-    for ups in covers:
-        for up in ups:
-            waiting[up] += 1
-    ready = sum(1 << e for e, count in enumerate(waiting) if count == 0)
-    out: list[tuple[int, ...]] = []
-    order: list[int] = []
-    # Depth-first from an explicit stack, so a long order costs no recursion:
-    # one mask per position of ``order`` so far, of the ready elements not yet
-    # tried there, each tried in increasing order, so the output is sorted.
-    untried = [ready]
-    while untried:
-        m = untried.pop()
-        if m:
-            low = m & -m
-            untried.append(m ^ low)
-            e = low.bit_length() - 1
-            order.append(e)
-            ready ^= low
-            for up in covers[e]:
-                waiting[up] -= 1
-                if not waiting[up]:
-                    ready |= 1 << up
-            untried.append(ready)
-            continue
-        if len(order) == n:  # nothing is ready once every element is placed
-            out.append(tuple(order))
-        if order:  # back up past the last element placed
-            e = order.pop()
-            for up in covers[e]:
-                if not waiting[up]:
-                    ready ^= 1 << up
-                waiting[up] += 1
-            ready |= 1 << e
-    return out
+    """Every total order containing p, as element sequences bottom to top, sorted."""
+    return list(_extensions(_cover_lists(p.rows)))
 
 
 def linear_extension(p: FinitePoset) -> tuple[int, ...]:
     """The first of :func:`linear_extensions`, without enumerating the rest."""
-    return _kahn(cover_masks(p.rows))
+    return next(_extensions(_cover_lists(p.rows)))
 
 
-def _kahn(covers: list[int]) -> tuple[int, ...]:
-    # Kahn's algorithm, placing the least element whose lower covers are all
-    # placed, as it is ready exactly when all its predecessors are: one step
-    # per cover, and a heap operation per element.
+def _cover_lists(rows) -> list[tuple[int, ...]]:
+    return list(map(_mask_elements, cover_masks(rows)))
+
+
+def _extensions(covers: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The linear extensions in lexicographic order, given each element's upper covers.
+
+    An element is ready once its lower covers are all placed, so placing one,
+    or backing out of it, steps once per cover.  The walk keeps only the
+    order so far: each position tries its ready elements least first, and
+    after backing out of e the next candidate is the least ready one above e.
+    """
     waiting = [0] * len(covers)
-    for up in covers:
-        for j in _mask_elements(up):
-            waiting[j] += 1
-    ready = [e for e, count in enumerate(waiting) if count == 0]
-    order = []
-    while ready:
-        e = heapq.heappop(ready)
-        order.append(e)
-        for up in _mask_elements(covers[e]):
-            waiting[up] -= 1
-            if waiting[up] == 0:
-                heapq.heappush(ready, up)
-    return tuple(order)
+    for ups in covers:
+        for up in ups:
+            waiting[up] += 1
+    ready = sum(1 << e for e, count in enumerate(waiting) if count == 0)
+    order: list[int] = []
+    floor = 0  # candidates for the next position are the ready ones from here up
+    while True:
+        m = ready >> floor
+        if m:
+            e = floor + (m & -m).bit_length() - 1
+            order.append(e)
+            ready ^= 1 << e
+            for up in covers[e]:
+                waiting[up] -= 1
+                if not waiting[up]:
+                    ready |= 1 << up
+            floor = 0
+            continue
+        if len(order) == len(covers):  # nothing is ready once every element is placed
+            yield tuple(order)
+        if not order:
+            return
+        e = order.pop()  # back out of the last element placed
+        for up in covers[e]:
+            if not waiting[up]:
+                ready ^= 1 << up
+            waiting[up] += 1
+        ready |= 1 << e
+        floor = e + 1
 
 
 def is_linear_extension(p: FinitePoset, order: tuple[int, ...]) -> bool:
@@ -394,19 +377,21 @@ def comparability_graph(rows) -> list[int]:
 def components(neighbors, mask: int) -> list[int]:
     """Connected components of the graph restricted to ``mask``, as masks by least element."""
     comps = []
-    probe = mask
-    while probe:
-        comp = frontier = probe & -probe
-        while frontier:
-            nxt = 0
-            for i in _mask_elements(frontier):
-                nxt |= neighbors[i]
-            nxt &= mask
-            frontier = nxt & ~comp
-            comp |= nxt
+    while mask:
+        comp = _reach(neighbors, mask & -mask, mask)
         comps.append(comp)
-        probe &= ~comp
+        mask &= ~comp
     return comps
+
+
+def _reach(graph, seed: int, within: int) -> int:
+    """Breadth first, the elements of ``within`` reached from ``seed`` along ``graph``'s masks."""
+    reached = frontier = seed
+    while frontier:
+        out = reduce(or_, map(graph.__getitem__, _mask_elements(frontier)))
+        frontier = out & within & ~reached
+        reached |= frontier
+    return reached
 
 
 def cover_masks(rows) -> list[int]:

@@ -67,7 +67,7 @@ from .expression import (
     tri,
     up_sets,
 )
-from .expressible import Obstruction, decompose
+from .expressible import MEMO_SIZE, Obstruction, decompose
 from .poset import FinitePoset, is_inclusion
 from .record import Record
 
@@ -251,11 +251,7 @@ def _par(kind: type, parts: tuple) -> Proof:
     return kind(parts)
 
 
-#: Bound of the memo cache here, like ``decompose``'s.
-_CACHE_SIZE = 1 << 18
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _derive(a: Expression, b: Expression) -> Proof:
     # Memoized: sweeps over many poset pairs hit the same subproblems.
     if a is b:

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ArityError, SizeError
-from .poset import FinitePoset, _kahn, _mask_elements, cover_masks
+from .poset import FinitePoset, _cover_lists, _extensions
 from .record import Record
 
 Runtime = Fraction
@@ -35,6 +35,8 @@ MAX_RUNTIME_EXPONENT = sys.int_info.default_max_str_digits
 
 def as_runtime(value) -> Runtime:
     """Coerce ints, decimal strings, and fractions to an exact nonnegative runtime."""
+    if isinstance(value, bool):  # JSON true/false load as bool, a subclass of int
+        raise ValueError(f"not a runtime: {value!r}")
     if isinstance(value, str):  # refuse a huge exponent before Fraction raises 10 to it
         _, marker, exponent = value.lower().rpartition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -59,8 +61,8 @@ def boxtimes(p: FinitePoset, runtimes: Sequence[Runtime]) -> Runtime:
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
     ticks, scale = _ticks(runtimes)
-    covers = cover_masks(p.rows)
-    finish = _finish_ticks(covers, ticks, _kahn(covers))
+    covers = _cover_lists(p.rows)
+    finish = _finish_ticks(covers, ticks, next(_extensions(covers)))
     return Fraction(max(finish, default=0), scale)
 
 
@@ -71,7 +73,7 @@ def _ticks(runtimes: Sequence[Runtime]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _finish_ticks(covers: list[int], ticks: list[int], order) -> list[int]:
+def _finish_ticks(covers: list[tuple[int, ...]], ticks: list[int], order) -> list[int]:
     # Earliest finish of each element: the longest chain-sum ending there.
     # Every related pair is a chain of covers, so pushing each finish to the
     # elements covering it reaches every successor.
@@ -79,7 +81,7 @@ def _finish_ticks(covers: list[int], ticks: list[int], order) -> list[int]:
     finish = [0] * len(ticks)
     for e in order:
         done = finish[e] = start[e] + ticks[e]
-        for up in _mask_elements(covers[e]):
+        for up in covers[e]:
             if start[up] < done:
                 start[up] = done
     return finish
@@ -105,15 +107,15 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
     if n == 0:
         return Schedule((), (), Fraction(0), ())
     ticks, scale = _ticks(runtimes)
-    covers = cover_masks(p.rows)
-    order = _kahn(covers)
+    covers = _cover_lists(p.rows)
+    order = next(_extensions(covers))
     finish = _finish_ticks(covers, ticks, order)
     makespan = max(finish)
 
     best_from = [0] * n
     reaching: dict[int, int] = {}  # longest chain onward -> mask of elements
     for e in reversed(order):
-        onward = max((best_from[s] for s in _mask_elements(covers[e])), default=0)
+        onward = max(map(best_from.__getitem__, covers[e]), default=0)
         best = best_from[e] = ticks[e] + onward
         reaching[best] = reaching.get(best, 0) | 1 << e
 

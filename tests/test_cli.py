@@ -788,6 +788,27 @@ def test_tropical_runtime_exponent_reads_exactly(write, capsys):
     assert code == 0 and out.startswith("makespan: 1/4\n")
 
 
+@pytest.mark.parametrize("value", ["true", "false", "1e10000000", "-0.5", "null"])
+def test_tropical_assignment_values_are_read_as_runtimes(tmp_path, write, capsys, value):
+    # As --assign reads them: a decimal exactly, never a boolean, and the
+    # exponent bound applies before any power of ten is built.
+    pg = {"types": ["w"], "compat": [["w", "w"]],
+          "generators": {"a": {"src": ["w"], "tgt": ["w"]}}}
+    diag = {"input": ["w"], "output": ["w"], "layers": [[{"gen": "a"}]]}
+    argv = ["diagram", "decorate", "--polygraph", write("pg.json", pg),
+            "--diagram", write("d.json", diag)]
+    values = tmp_path / "v.json"  # written by hand: json.dumps has no 1e10000000
+    values.write_text(f'{{"a": {value}}}', encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--assign-file", str(values))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    values.write_text('{"a": 0.1}', encoding="utf-8")
+    assert run(capsys, *argv, "--assign-file", str(values))[:2] == (0, "value: 1/10\n")
+    assert run(capsys, *argv, "--assign", "a=0.1")[:2] == (0, "value: 1/10\n")
+
+
 @pytest.mark.parametrize("value", [[True], [1.5], [-1], "y", None])
 def test_polynomial_assignment_values_are_checked(write, capsys, value):
     # The same check as a polynomial file: integer direction counts only.

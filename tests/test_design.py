@@ -5,11 +5,15 @@ relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
 relations that come from outside it.  Derivation reads the normal-form terms
 only, never the poset splits that ``decompose`` runs on.  Every value class is
 its field list on the one ``Record`` base.  Only the two derivation walks of
-``structure_maps`` still recurse.  Importing the package generates no
-code, and loads every layer.
+``structure_maps`` still recurse; ``normalize`` does not, and one walk gives
+the linear extensions.  Importing the package generates no code, and loads
+every layer.  The traced benchmark names only functions and memo caches the
+library has.
 """
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +24,13 @@ import depcalc
 from depcalc import record
 
 SOURCE = Path(depcalc.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tree(module: str) -> ast.Module:
+    path = SOURCE / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
 
 #: Where ``from_pairs`` may be called: (module, enclosing function or the
 #: module-level name assigned).
@@ -53,8 +64,7 @@ def _from_pairs_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
 def test_from_pairs_is_called_only_at_input_boundaries():
     callers = []
     for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        callers += _from_pairs_callers(path.stem, tree)
+        callers += _from_pairs_callers(path.stem, _tree(path.stem))
     assert set(callers) == FROM_PAIRS_CALLERS
     assert len(callers) == len(FROM_PAIRS_CALLERS)
 
@@ -64,10 +74,8 @@ SPLITS = {"comparability_graph", "components", "top_split", "series_factors"}
 
 
 def test_structure_maps_imports_no_poset_split():
-    path = SOURCE / "structure_maps.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     named = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree("structure_maps")):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             named |= {alias.name.rpartition(".")[2] for alias in node.names}
         elif isinstance(node, ast.Attribute):  # e.g. poset.components
@@ -114,23 +122,54 @@ def test_value_classes_are_their_field_lists_on_one_record_base():
     assert not {"Single", "set_values", "setters"} & set(vars(record))
 
 
-#: The functions of ``structure_maps`` that still recurse once per level.
-RECURSIVE = {"_derive", "_restrict"}
-
-
-def test_structure_maps_recurses_only_where_planned():
-    # A function recurses if its body, nested defs included, names it; proof
-    # text is read from a slot on each term, not from a per-call table.
-    path = SOURCE / "structure_maps.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    assert "_Texts" not in defined
-    recursive = {
+def _recursive(tree: ast.Module) -> set[str]:
+    # A function recurses if its body, nested defs included, names it.
+    return {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(inner, ast.Name) and inner.id == node.name
                 for statement in node.body for inner in ast.walk(statement))
     }
-    assert recursive == RECURSIVE
+
+
+#: The functions of ``structure_maps`` that still recurse once per level.
+RECURSIVE = {"_derive", "_restrict"}
+
+
+def test_structure_maps_recurses_only_where_planned():
+    # Proof text is read from a slot on each term, not from a per-call table.
+    tree = _tree("structure_maps")
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert "_Texts" not in defined
+    assert _recursive(tree) == RECURSIVE
+
+
+def test_one_walk_for_linear_extensions_and_no_recursive_normalize():
+    tree = _tree("poset")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "_kahn" not in defined and "heapq" not in imported
+    assert "normalize" not in _recursive(_tree("expression"))
+
+
+def test_the_traced_benchmark_names_what_the_library_has(monkeypatch):
+    # perfbench/run.py is loaded by path, as it stands; its trace_specs
+    # imports the benchmark's oracle from the same directory.
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for module, function, *_ in run.trace_specs():
+        layer = importlib.import_module(f"depcalc.{module}")
+        assert callable(getattr(layer, function, None)), (module, function)
+    for _, module, function in run.CACHES:
+        memo = getattr(importlib.import_module(f"depcalc.{module}"), function)
+        assert callable(getattr(memo, "cache_info", None)), (module, function)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ratios = {metric["name"] for metric in declared["per_layer"]
+              if metric["name"].endswith(".cache_hit_ratio")}
+    assert ratios == {f"{name}.cache_hit_ratio" for name, _, _ in run.CACHES}

@@ -141,6 +141,15 @@ def _top_down(p):
     return [(n - 1 - i, n - 1 - j) for i, j in p.pairs()]
 
 
+def _middle_out(p):
+    """p relabelled so the positions of its first linear extension get the labels
+    n/2, n/2 + 1, n/2 - 1, ..., which neither rise nor fall along the order."""
+    n, half = p.size, p.size // 2
+    labels = sorted(range(n), key=lambda v: 2 * (v - half) - 1 if v > half else 2 * (half - v))
+    new = dict(zip(linear_extension(p), labels))
+    return [(new[i], new[j]) for i, j in p.pairs()]
+
+
 def test_poset_core_matches_the_pair_set_oracles_on_every_small_poset():
     rng = random.Random(15)
     for n in range(5):
@@ -150,6 +159,7 @@ def test_poset_core_matches_the_pair_set_oracles_on_every_small_poset():
             for pairs in (oracle_covers(p), p.pairs(), shuffled):
                 assert _check_core_against_oracles(n, pairs) == p
             _check_core_against_oracles(n, _top_down(p))
+            _check_core_against_oracles(n, _middle_out(p))
 
 
 def test_poset_core_matches_the_pair_set_oracles_on_relabelled_sp_posets():
@@ -166,6 +176,7 @@ def test_poset_core_matches_the_pair_set_oracles_on_relabelled_sp_posets():
             assert _check_core_against_oracles(n, covers) == q
             assert from_pairs(n, iter(covers)) == q  # any iterable, read once
             _check_core_against_oracles(n, _top_down(q))
+            _check_core_against_oracles(n, _middle_out(q))
 
 
 def test_from_pairs_reports_the_least_element_on_a_cycle():
@@ -344,6 +355,8 @@ def test_linear_extensions_counts():
     assert len(brute) == 5
     # Deeper than the default recursion limit: the walk keeps its own stack.
     assert linear_extensions(chain(1200)) == [tuple(range(1200))]
+    # Every order, sorted: backing out runs up to seven positions deep.
+    assert linear_extensions(antichain(7)) == list(permutations(range(7)))
 
 
 def test_linear_extension_is_the_first_extension():

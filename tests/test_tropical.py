@@ -168,7 +168,7 @@ def test_check_interchange_always(a, b, c, d):
 def test_as_runtime_parses_decimal_strings_exactly():
     assert as_runtime("0.1") == F(1, 10)
     assert as_runtime("7") == 7
-    for bad in ("-2", "1/0", float("inf")):
+    for bad in ("-2", "1/0", float("inf"), True, False):  # JSON true/false are not runtimes
         with pytest.raises(ValueError):
             as_runtime(bad)
 
