@@ -47,17 +47,14 @@ from .operad import (
     unit,
 )
 from .poset import (
-    Embedding,
     FinitePoset,
     antichain,
     chain,
-    chains,
     connected_components,
     disjoint_union,
     empty,
     enumerate_posets,
     from_pairs,
-    full_embeddings,
     induced,
     is_inclusion,
     join,

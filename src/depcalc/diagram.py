@@ -22,7 +22,7 @@ from operator import gt
 from typing import Sequence, Union
 
 from .errors import InvalidDiagram, InvalidPaths, MissingAssignment
-from .polynomial import FinitePolynomial, boxtimes_poly, signature
+from .polynomial import IDENTITY, FinitePolynomial, boxtimes_poly, signature
 from .poset import (
     FinitePoset,
     antichain,
@@ -186,10 +186,9 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
                 pos += 1
             elif kind is SwapCell:
                 left, right = cell.left, cell.right
+                # The stage check has already passed (left, right) as neighbors.
                 if pos + 1 >= width or cur_types[pos] != left or cur_types[pos + 1] != right:
                     raise fail(layer_idx, f"transposition mismatch at wire {pos}")
-                if check_compat and (left, right) not in compat:
-                    raise fail(layer_idx, f"transposition of incompatible types at wire {pos}")
                 new_types += (right, left)
                 new_prov += (cur_prov[pos + 1], cur_prov[pos])
                 pos += 2
@@ -260,7 +259,7 @@ class TropicalAlgebra:
 class PolynomialAlgebra:
     """Finite polynomials under the pairwise tensor and substitution."""
 
-    unit = FinitePolynomial((1,))
+    unit = IDENTITY
 
     def box(self, p: FinitePoset, values: Sequence[FinitePolynomial]) -> FinitePolynomial:
         return boxtimes_poly(p, list(values), linear_extension(p))

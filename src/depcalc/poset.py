@@ -3,9 +3,9 @@
 Every poset in this package lives on an initial segment of the naturals and
 stores its strict relation transitively closed, as one up-set mask per
 element (bit j of ``rows[i]`` set means i < j).  Keeping the closure
-materialized makes inclusion testing, chain enumeration, and the substitution
-product cheap; antisymmetry reduces to the absence of mutually related pairs
-and irreflexivity to no element in its own row.  Masks of the elements below
+materialized makes inclusion testing and the substitution product cheap;
+antisymmetry reduces to the absence of mutually related pairs and
+irreflexivity to no element in its own row.  Masks of the elements below
 each element come from :func:`comparability_graph`, where an algorithm needs
 them.
 
@@ -25,6 +25,9 @@ from .errors import ArityError, CycleError, SizeError
 from .record import Record
 
 ENUMERATION_GUARD = 6  # labeled posets on 7 elements already number in the millions
+#: Most entries, orders times elements, :func:`linear_extensions` returns:
+#: antichain(8) holds 322,560 and antichain(9) would hold 3,265,920.
+EXTENSION_GUARD = 1 << 20
 
 #: Most elements a poset read from user input may have: poset JSON and the
 #: ``x<i>`` variables of expression text.  The closure of a poset this size is
@@ -225,51 +228,18 @@ def induced(p: FinitePoset, elements: Iterable[int]) -> FinitePoset:
     return FinitePoset(len(elems), tuple(rows))
 
 
-class Embedding(Record):
-    """An injective, order-preserving and order-reflecting element map."""
-
-    __slots__ = ("mapping",)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-
-def full_embeddings(pattern: FinitePoset, target: FinitePoset) -> list[Embedding]:
-    """All injections m with i < j in pattern iff m(i) < m(j) in target."""
-    k, n = pattern.size, target.size
-    if k > n:
-        return []
-    out: list[Embedding] = []
-    image = [0] * k
-    used = [False] * n
-
-    def place(idx: int) -> None:
-        if idx == k:
-            out.append(Embedding(tuple(image)))
-            return
-        for cand in range(n):
-            if used[cand]:
-                continue
-            ok = True
-            for prev in range(idx):
-                if pattern.lt(prev, idx) != target.lt(image[prev], cand) or pattern.lt(
-                    idx, prev
-                ) != target.lt(cand, image[prev]):
-                    ok = False
-                    break
-            if ok:
-                used[cand] = True
-                image[idx] = cand
-                place(idx + 1)
-                used[cand] = False
-
-    place(0)
-    return out
-
-
 def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
-    """Every total order containing p, as element sequences bottom to top, sorted."""
-    return list(_extensions(_cover_lists(p.rows)))
+    """Every total order containing p, as element sequences bottom to top, sorted.
+
+    Raises SizeError before the orders held would pass ``EXTENSION_GUARD``
+    entries, counting each order as its p.size elements.
+    """
+    out = []
+    for order in _extensions(_cover_lists(p.rows)):
+        if (len(out) + 1) * p.size > EXTENSION_GUARD:
+            raise SizeError(f"linear_extensions is guarded at {EXTENSION_GUARD} entries")
+        out.append(order)
+    return out
 
 
 def linear_extension(p: FinitePoset) -> tuple[int, ...]:
@@ -326,23 +296,6 @@ def is_linear_extension(p: FinitePoset, order: tuple[int, ...]) -> bool:
         return False
     earlier = accumulate((1 << e for e in order), or_, initial=0)  # placed before e
     return not any(p.rows[e] & placed for e, placed in zip(order, earlier))
-
-
-def chains(p: FinitePoset) -> list[tuple[int, ...]]:
-    """All nonempty strictly increasing element sequences, lexicographically."""
-    n = p.size
-    out: list[tuple[int, ...]] = []
-
-    def extend(seq: list[int]) -> None:
-        out.append(tuple(seq))
-        for j in p.above(seq[-1]):
-            seq.append(j)
-            extend(seq)
-            seq.pop()
-
-    for start in range(n):
-        extend([start])
-    return out
 
 
 def connected_components(p: FinitePoset) -> list[tuple[int, ...]]:

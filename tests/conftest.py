@@ -6,10 +6,11 @@ pair-set oracle restates each poset operation on explicit sets of pairs (the
 closure by one search per element, the first linear extension by predecessor
 sets, the incomparability witness as chain pairs closed by ``from_pairs``), the
 expressible-set oracle searches all binary build trees, the zig-zag oracle
-tries every ordered quadruple of elements, the tropical oracle
-sums over explicitly enumerated chains, the Gantt oracle tests every chart
-cell against its time window, and the strategy oracle for the polynomial
-product enumerates choice functions directly.
+tries every ordered quadruple of elements (a search for full embeddings of
+the zig-zag), the tropical oracle sums over the chains it walks out of the
+pair set itself, the Gantt oracle tests every chart cell against its time
+window, and the strategy oracle for the polynomial product enumerates choice
+functions directly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import settings
 
-from depcalc import FinitePoset, PreconditionError, chains, empty, enumerate_posets, from_pairs
+from depcalc import FinitePoset, PreconditionError, empty, enumerate_posets, from_pairs
 from depcalc.expression import Otimes, Tri, Unit, Var
 from depcalc.diagram import (
     GenCell,
@@ -428,11 +429,29 @@ def alternating_nest(depth: int) -> str:
 # ---------------------------------------------------------------------------
 # Tropical oracle
 
+def oracle_chains(p: FinitePoset) -> list[tuple[int, ...]]:
+    """Every nonempty strictly increasing element sequence, lexicographically.
+
+    Each chain is extended by every pair leaving its last element, walked
+    from an explicit stack, so long chains cost no recursion depth.
+    """
+    above = [[] for _ in range(p.size)]
+    for i, j in p.pairs():
+        above[i].append(j)
+    out = []
+    stack = [(e,) for e in reversed(range(p.size))]
+    while stack:
+        seq = stack.pop()
+        out.append(seq)
+        stack += [seq + (j,) for j in reversed(above[seq[-1]])]
+    return out
+
+
 def chain_sum_boxtimes(p: FinitePoset, values) -> Fraction:
-    """Independent evaluation: max over explicitly enumerated chains."""
+    """Independent evaluation: max over the chains of the pair set."""
     if p.size == 0:
         return Fraction(0)
-    return max(sum(values[e] for e in c) for c in chains(p))
+    return max(sum(values[e] for e in c) for c in oracle_chains(p))
 
 
 def gantt_per_cell(plan, res: Fraction) -> str:

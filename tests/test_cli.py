@@ -348,6 +348,38 @@ def test_poly_boxtimes(write, capsys):
     assert json.loads(out)["signature"] == [1, 0, 0, 0]
 
 
+def test_poly_boxtimes_reads_the_given_extension(write, capsys):
+    argv = ["poly", "boxtimes", "--poset", write("p.json", {"elements": 2, "relations": [[1, 0]]}),
+            "--parts", *[write("q.json", {"positions": [1, 0]})] * 2, "--extension"]
+    assert run(capsys, *argv, "1,0") == (0, "signature: 1 0 0  (y + 2)\n", "")
+    assert run(capsys, *argv, "0,1") == (
+        2, "", "error: (0, 1) is not a linear extension of the poset\n")
+    assert run(capsys, *argv, "a") == (
+        2, "", "error: invalid literal for int() with base 10: 'a'\n")
+
+
+def _one_wire_diagram(write):
+    pg = {"types": ["w"], "compat": [["w", "w"]],
+          "generators": {"a": {"src": ["w"], "tgt": ["w"]}, "b": {"src": ["w"], "tgt": ["w"]}}}
+    diag = {"input": ["w"], "output": ["w"], "layers": [[{"gen": "a"}], [{"gen": "b"}]]}
+    return ["--polygraph", write("pg.json", pg), "--diagram", write("d.json", diag)]
+
+
+@pytest.mark.parametrize("assignment, message", [
+    (["--assign-file", [["a", 1]]], "assignment file must map generator names to values"),
+    (["--assign", "a=1", "--algebra", "poly"],
+     "inline --assign holds runtimes; use --assign-file for polynomials"),
+    (["--assign", "f"], "bad assignment 'f'; expected name=value"),
+])
+def test_diagram_decorate_bad_assignment_exits_two(write, capsys, assignment, message):
+    option, value, *rest = assignment
+    if option == "--assign-file":
+        value = write("v.json", value)
+    code, out, err = run(capsys, "diagram", "decorate", *_one_wire_diagram(write),
+                         option, value, *rest)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_diagram_commands(write, capsys):
     pg = {
         "types": ["w"],
@@ -369,6 +401,9 @@ def test_diagram_commands(write, capsys):
     payload = json.loads(out)
     assert from_json_dict(payload["poset"]) == from_pairs(2, [(0, 1)])
     assert payload["instances"][0]["generator"] == "a"
+    files = ["--polygraph", pg_path, "--diagram", d_path]
+    assert run(capsys, "diagram", "edge-poset", *files) == (
+        0, "0: a (layer 0)\n1: b (layer 1)\nelements: 2\nrelations: 0<1\n", "")
 
     code, out, _ = run(
         capsys, "diagram", "validate", "--polygraph", pg_path, "--diagram", d_path
@@ -394,6 +429,8 @@ def test_diagram_commands(write, capsys):
         "a=1.5,b=2",
     )
     assert code == 0 and "7/2" in out
+    assert run(capsys, "diagram", "decorate", *files, "--assign", "a=1.5,b=2",
+               "--format", "json") == (0, '{"value": "7/2"}\n', "")
 
     assign = write("assign.json", {"a": [1, 0], "b": [2]})
     code, out, _ = run(

@@ -5,10 +5,11 @@ relabeling, induced sub-posets, row masks); ``from_pairs`` closes only
 relations that come from outside it.  Derivation reads the normal-form terms
 only, never the poset splits that ``decompose`` runs on.  Every value class is
 its field list on the one ``Record`` base.  Only the two derivation walks of
-``structure_maps`` still recurse; ``normalize`` does not, and one walk gives
-the linear extensions.  Importing the package generates no code, and loads
-every layer.  The traced benchmark names only functions and memo caches the
-library has.
+``structure_maps`` and the guarded ``enumerate_posets`` still recurse;
+``normalize`` does not, and one walk gives the linear extensions.  Chains and
+full embeddings are test oracles, not library functions.  Importing the
+package generates no code, and loads every layer.  The traced benchmark names
+only functions and memo caches the library has.
 """
 
 import ast
@@ -106,6 +107,14 @@ def _records(cls=record.Record) -> list[type]:
     return subclasses + [sub for c in subclasses for sub in _records(c)]
 
 
+#: Every value class of the library.
+RECORDS = {
+    "Compose", "Decoration", "Equiv", "FinitePolynomial", "FinitePoset", "GenCell",
+    "GenInstance", "IdCell", "InterchangerSubst", "LawCheck", "Obstruction", "OtimesPar",
+    "PartialPolygraph", "PolyMorphism", "PolySignature", "Schedule", "StageFailure",
+    "StringDiagram", "SwapCell", "TriPar", "_Par", "_Proof",
+}
+
 #: The records that check their fields, and the proof base, which adds a hash,
 #: endpoints and a verdict outside them; no other record has an ``__init__``.
 OWN_INIT = {"FinitePoset", "FinitePolynomial", "PartialPolygraph", "_Proof"}
@@ -113,7 +122,7 @@ OWN_INIT = {"FinitePoset", "FinitePolynomial", "PartialPolygraph", "_Proof"}
 
 def test_value_classes_are_their_field_lists_on_one_record_base():
     records = [cls for cls in _records() if cls.__module__.startswith("depcalc.")]
-    assert len(records) >= 23
+    assert sorted(cls.__name__ for cls in records) == sorted(RECORDS)
     for cls in records:
         assert cls.__match_args__ or cls.__name__ == "_Proof", cls
         for name in cls.__match_args__:
@@ -153,6 +162,13 @@ def test_one_walk_for_linear_extensions_and_no_recursive_normalize():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "_kahn" not in defined and "heapq" not in imported
     assert "normalize" not in _recursive(_tree("expression"))
+
+
+def test_poset_recurses_only_in_the_guarded_enumeration():
+    # Chains and full embeddings are test oracles: the library answers both
+    # questions through boxtimes and find_z without enumerating.
+    assert _recursive(_tree("poset")) == {"_enumerate"}
+    assert not {"chains", "full_embeddings", "Embedding"} & set(vars(depcalc))
 
 
 def test_the_traced_benchmark_names_what_the_library_has(monkeypatch):

@@ -41,7 +41,7 @@ from depcalc import (
 )
 from depcalc.diagram import polygraph_from_json_dict
 
-from conftest import all_posets, diagram_polygraph, random_diagram, random_sp_poset
+from conftest import all_posets, diagram_polygraph, oracle_chains, random_diagram, random_sp_poset
 
 TROP = TropicalAlgebra()
 
@@ -104,6 +104,25 @@ def test_validate_reports_first_failing_stage():
     assert not verdict
     assert verdict.stage == 0
     assert verdict.reason == "identity cell expects 'q' at wire 0"
+
+
+def test_validate_reports_a_layer_that_leaves_wires_unconsumed():
+    pg = total_polygraph({"a": (["w"], ["w"])})
+    short = StringDiagram(pg, ("w", "w"), ("w",), ((GenCell("a"),),))
+    verdict = validate_diagram(pg, short)
+    assert (verdict.stage, verdict.reason) == (0, "layer consumed 1 of 2 wires")
+
+
+def test_validate_reports_a_swap_of_incompatible_types_at_its_stage():
+    # The swap's inputs sit side by side at the stage before it, so that
+    # stage reports them; an order allowed one way round only fails after.
+    pg = make_polygraph(["u", "v"], [], {})
+    diag = StringDiagram(pg, ("u", "v"), ("v", "u"), ((SwapCell("u", "v"),),))
+    verdict = validate_diagram(pg, diag)
+    assert (verdict.stage, verdict.reason) == (0, "types 'u' and 'v' are not compatible neighbors")
+    one_way = PartialPolygraph(("u", "v"), frozenset({("u", "v")}), ())
+    verdict = validate_diagram(one_way, diag)  # checked against one_way
+    assert (verdict.stage, verdict.reason) == (1, "types 'v' and 'u' are not compatible neighbors")
 
 
 def test_validate_checks_compatibility():
@@ -176,9 +195,7 @@ def test_decorate_seven_box_all_ones():
     # longest dependency chain: f h i j k
     assert value == 5
     p, _ = edge_poset(diag)
-    assert value == max(
-        sum(F(1) for _ in c) for c in __import__("depcalc").chains(p)
-    )
+    assert value == max(sum(F(1) for _ in c) for c in oracle_chains(p))
 
 
 def test_decorate_missing_assignment():
@@ -406,6 +423,16 @@ def test_layout_dag_errors():
     for wire in [(0, 0, -1, 0), (0, 0, 5, 0), (-1, 0, 0, 0), (2, 0, 0, 0)]:
         with pytest.raises(InvalidDiagram, match="wire 0 references a missing node"):
             layout_dag(pg, ["a"], [wire])
+    with pytest.raises(InvalidDiagram, match="^unknown generator 'z'$"):
+        layout_dag(pg, ["a", "z"], [])
+    # port indices outside a generator's arity, at either end of a wire
+    for wire in [(0, 1, 1, 0), (0, 0, 1, 3), (0, -1, 1, 0)]:
+        with pytest.raises(InvalidDiagram, match="^wire 0 references a missing port$"):
+            layout_dag(pg, ["a", "a"], [wire])
+    # the output port of node 0, then the input port of node 2, wired twice
+    for second in [(0, 0, 2, 0), (1, 0, 1, 0)]:
+        with pytest.raises(InvalidDiagram, match="^wire 1 reuses an already wired port$"):
+            layout_dag(pg, ["a", "a", "a"], [(0, 0, 1, 0), second])
 
 
 def test_random_diagrams_are_valid():

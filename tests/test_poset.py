@@ -8,20 +8,17 @@ from hypothesis import strategies as st
 
 from depcalc import (
     CycleError,
-    Embedding,
     FinitePoset,
     SizeError,
     ZIGZAG,
     act,
     antichain,
     chain,
-    chains,
     connected_components,
     disjoint_union,
     empty,
     enumerate_posets,
     from_pairs,
-    full_embeddings,
     induced,
     is_inclusion,
     join,
@@ -31,6 +28,7 @@ from depcalc import (
     substitute,
     transitive_reduction,
 )
+from depcalc import poset
 from depcalc.poset import (
     MAX_ELEMENTS,
     comparability_graph,
@@ -43,10 +41,12 @@ from depcalc.poset import (
 
 from conftest import (
     all_posets,
+    oracle_chains,
     oracle_closure,
     oracle_comparable,
     oracle_count_posets,
     oracle_covers,
+    oracle_find_z,
     oracle_induced,
     oracle_is_linear_extension,
     oracle_join,
@@ -325,20 +325,11 @@ def test_is_inclusion():
     assert not is_inclusion(antichain(2), antichain(3))
 
 
-def test_full_embeddings_of_zigzag():
-    selfmaps = full_embeddings(ZIGZAG, ZIGZAG)
-    assert Embedding((0, 1, 2, 3)) in selfmaps
-    assert selfmaps == [Embedding((0, 1, 2, 3))]  # rigid pattern
-    assert full_embeddings(ZIGZAG, chain(4)) == []
-    expr_poset = from_pairs(4, [(0, 1), (0, 2), (2, 3)])
-    assert full_embeddings(ZIGZAG, expr_poset) == []
-
-
-def test_full_embeddings_reflect_order():
-    # monotone maps that are not full are excluded: antichain embeds into a
-    # chain injectively and monotonically, but never fully
-    assert full_embeddings(antichain(2), chain(2)) == []
-    assert len(full_embeddings(antichain(2), antichain(3))) == 6
+def test_oracle_find_z_is_the_zigzag_full_embedding_search():
+    # The zig-zag is rigid: its one full self-embedding is the identity.
+    assert oracle_find_z(ZIGZAG) == (0, 1, 2, 3)
+    assert oracle_find_z(chain(4)) is None
+    assert oracle_find_z(from_pairs(4, [(0, 1), (0, 2), (2, 3)])) is None  # N-free
 
 
 # --- extensions, chains, components -------------------------------------------
@@ -357,6 +348,19 @@ def test_linear_extensions_counts():
     assert linear_extensions(chain(1200)) == [tuple(range(1200))]
     # Every order, sorted: backing out runs up to seven positions deep.
     assert linear_extensions(antichain(7)) == list(permutations(range(7)))
+
+
+def test_linear_extensions_guard(monkeypatch):
+    # The cap counts entries held, orders × elements: antichain(3) holds 18.
+    monkeypatch.setattr(poset, "EXTENSION_GUARD", 18)
+    assert linear_extensions(antichain(3)) == list(permutations(range(3)))
+    assert linear_extensions(chain(18)) == [tuple(range(18))]
+    monkeypatch.setattr(poset, "EXTENSION_GUARD", 17)
+    with pytest.raises(SizeError, match="^linear_extensions is guarded at 17 entries"):
+        linear_extensions(antichain(3))
+    with pytest.raises(SizeError):
+        linear_extensions(chain(18))
+    assert linear_extension(antichain(3)) == (0, 1, 2)  # one order, unguarded
 
 
 def test_linear_extension_is_the_first_extension():
@@ -395,18 +399,16 @@ def test_is_linear_extension_matches_the_pairs_definition():
         assert not is_linear_extension(chain(3), order)
 
 
-def test_chains():
-    assert set(chains(antichain(2))) == {(0,), (1,)}
-    assert set(chains(chain(2))) == {(0,), (1,), (0, 1)}
+def test_oracle_chains():
+    assert set(oracle_chains(antichain(2))) == {(0,), (1,)}
+    assert set(oracle_chains(chain(2))) == {(0,), (1,), (0, 1)}
     # exhaustive subset filter oracle for the zig-zag
-    from itertools import permutations
-
     brute = set()
     for size in range(1, 5):
         for seq in permutations(range(4), size):
             if all(ZIGZAG.lt(seq[k], seq[k + 1]) for k in range(size - 1)):
                 brute.add(seq)
-    assert set(chains(ZIGZAG)) == brute
+    assert set(oracle_chains(ZIGZAG)) == brute
 
 
 def test_connected_components():
@@ -468,6 +470,8 @@ def test_enumerate_guard():
 
 def test_induced():
     assert induced(ZIGZAG, [0, 1]) == chain(2)
+    with pytest.raises(ValueError, match="^duplicate elements$"):
+        induced(ZIGZAG, [0, 0])
     assert induced(ZIGZAG, [0, 3]) == antichain(2)
     assert induced(ZIGZAG, [2, 1, 3]) == from_pairs(3, [(0, 1), (0, 2)])
 

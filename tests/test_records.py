@@ -19,7 +19,6 @@ from depcalc import (
     UNIT,
     Compose,
     Decoration,
-    Embedding,
     Equiv,
     FinitePolynomial,
     FinitePoset,
@@ -82,7 +81,6 @@ LEAF, OTHER_LEAF = Equiv(Var(0), Var(0)), Equiv(Var(1), Var(1))
 
 #: (class, its dataclass fields, sample values, other values, validation hook)
 RECORDS = [
-    (Embedding, ["mapping"], ((2, 0, 1),), ((0, 1, 2),), None),
     (Obstruction, ["elements"], ((0, 1, 2, 3),), ((0, 1, 3, 2),), None),
     (Schedule, ["start", "finish", "makespan", "critical_chain"],
      ((Fraction(0), HALF), (HALF, Fraction(2)), Fraction(2), (0, 1)),

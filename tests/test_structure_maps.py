@@ -119,6 +119,11 @@ def test_equiv_between_unequal_posets_rejected():
     assert not verify_proof(bad)
 
 
+def test_endpoints_over_different_variables_rejected():
+    assert verify_proof(Equiv(Var(0), Var(1))) is False
+    assert verify_proof(Compose(Equiv(Var(0), Var(0)), Equiv(Var(0), Var(1)))) is False
+
+
 def test_par_nodes_with_overlapping_variables_rejected():
     dup = OtimesPar(
         (
