@@ -58,7 +58,7 @@ def find_z(p: FinitePoset) -> Obstruction | None:
     witness.
     """
     rows = p.rows
-    near = comparability_graph(rows)
+    near = comparability_graph(p)
     for a, row_a in enumerate(rows):
         # b is in near[a], so "far from a" also rules out d == b.
         far_a = ~(near[a] | 1 << a)
@@ -90,8 +90,7 @@ def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
     Memoized per poset: ``is_expressible``, ``depcalc check`` and
     ``derive_structure_map`` all recognize through this one call.
     """
-    rows = p.rows
-    result = normal_form(rows, comparability_graph(rows), (1 << p.size) - 1)
+    result = normal_form(p.rows, comparability_graph(p), (1 << p.size) - 1)
     if not isinstance(result, list):
         return result
     witnesses = []

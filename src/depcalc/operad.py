@@ -28,8 +28,8 @@ from .expressible import is_expressible
 from .poset import (
     FinitePoset,
     _mask_elements,
+    _with_covers,
     chain,
-    disjoint_union,
     induced,
     is_inclusion,
     is_linear_extension,
@@ -54,19 +54,31 @@ def unit() -> FinitePoset:
 
 
 def act(tau: Sequence[int], p: FinitePoset) -> FinitePoset:
-    """Relabel p along the permutation tau (element i becomes tau[i])."""
-    if len(tau) != p.size or sorted(tau) != list(range(p.size)):
-        raise ArityError(f"not a permutation of {p.size} elements: {tau!r}")
+    """Relabel p along the permutation tau (element i becomes tau[i]).
+
+    The covers move bit by bit, and the rows are closed again from them, one
+    OR per cover, taking the elements by ascending row size: each after
+    every element above it.
+    """
+    n = p.size
+    if len(tau) != n or sorted(tau) != list(range(n)):
+        raise ArityError(f"not a permutation of {n} elements: {tau!r}")
     bits = [1 << t for t in tau]
-    rows = [0] * p.size
-    for i, row in enumerate(p.rows):
-        moved = 0
-        while row:
-            low = row & -row
-            moved |= bits[low.bit_length() - 1]
-            row ^= low
-        rows[tau[i]] = moved
-    return FinitePoset(p.size, tuple(rows))
+    rows, covers, before = [0] * n, [0] * n, p.covers
+    sizes = list(map(int.bit_count, p.rows))
+    for i in sorted(range(n), key=sizes.__getitem__):
+        row = moved = 0
+        ups = before[i]
+        while ups:
+            low = ups & -ups
+            j = low.bit_length() - 1
+            moved |= bits[j]
+            row |= rows[tau[j]]
+            ups ^= low
+        t = tau[i]
+        rows[t] = row | moved
+        covers[t] = moved
+    return _with_covers(n, tuple(rows), tuple(covers))
 
 
 def intersect(posets: Sequence[FinitePoset]) -> FinitePoset:
@@ -108,9 +120,16 @@ def incomparability_witness(
     above_i = p.rows[i]
     block_i = (i,) + tuple(k for k in between if above_i >> k & 1)
     block_j = tuple(k for k in between if not above_i >> k & 1) + (j,)
-    middle = disjoint_union(chain(len(block_i)), chain(len(block_j)))
-    shape = substitute(chain(3), [chain(len(prefix)), middle, chain(len(suffix))])
-    witness = act(prefix + block_i + block_j + suffix, shape)
+    # The chain along prefix, Q_i, Q_j' and suffix, less the pairs from Q_i to Q_j'.
+    rows = [0] * p.size
+    above = 0
+    for e in reversed(prefix + block_i + block_j + suffix):
+        rows[e] = above
+        above |= 1 << e
+    apart = sum(1 << k for k in block_j)
+    for k in block_i:
+        rows[k] &= ~apart
+    witness = FinitePoset(p.size, tuple(rows))
     # Along an extension the chains keep every relation of p except those
     # between the two blocks; report the least such pair.
     for x, row in enumerate(p.rows):

@@ -5,9 +5,11 @@ stores its strict relation transitively closed, as one up-set mask per
 element (bit j of ``rows[i]`` set means i < j).  Keeping the closure
 materialized makes inclusion testing and the substitution product cheap;
 antisymmetry reduces to the absence of mutually related pairs and
-irreflexivity to no element in its own row.  Masks of the elements below
-each element come from :func:`comparability_graph`, where an algorithm needs
-them.
+irreflexivity to no element in its own row.  Each poset also carries its
+cover relation, one mask per element (``covers``), which the building
+operations fill as they build: the transitive reduction, the topological
+walk and the schedules read it, and the masks of the elements below each
+element come from it (:func:`comparability_graph`), one OR per cover.
 
 The three building operations fix a canonical block numbering (first argument
 first, blocks contiguous), so disjoint union and join are strictly associative
@@ -42,10 +44,13 @@ class FinitePoset(Record):
     through :func:`from_pairs` or the constructors below, which guarantee
     closure; the constructor itself checks only the shape of ``rows``.
     Values are immutable, compare and hash by ``(size, rows)``, and key the
-    memo caches of ``find_z`` and ``decompose``.
+    memo caches of ``find_z`` and ``decompose``.  The cover masks ride along
+    outside those fields, so they play no part in equality, hashing, ``repr``
+    or pickling.
     """
 
-    __slots__ = ("size", "rows")
+    __match_args__ = ("size", "rows")
+    __slots__ = (*__match_args__, "_covers")
 
     def __init__(self, size: int, rows: tuple[int, ...]):
         if size < 0:
@@ -55,6 +60,21 @@ class FinitePoset(Record):
         if rows and (min(rows) < 0 or max(rows) >> size):
             raise ValueError("relation rows out of range for size")
         super().__init__(size, rows)
+
+    @property
+    def covers(self) -> tuple[int, ...]:
+        """Per element, the mask of the elements covering it.
+
+        The constructors of this module and ``operad.act`` carry them;
+        ``induced`` and a bare ``FinitePoset(size, rows)`` find them on first
+        read, once.
+        """
+        try:
+            return self._covers
+        except AttributeError:
+            found = _search_covers(self.rows)
+            _set_covers(self, found)
+            return found
 
     def lt(self, i: int, j: int) -> bool:
         """True iff i < j in this poset."""
@@ -94,6 +114,16 @@ class FinitePoset(Record):
         return f"FinitePoset({self.size}, {self.pairs()!r})"
 
 
+_set_covers = FinitePoset._covers.__set__
+
+
+def _with_covers(size: int, rows: tuple[int, ...], covers: tuple[int, ...]) -> FinitePoset:
+    """The poset on ``rows``, carrying ``covers``, which must be its cover masks."""
+    p = FinitePoset(size, rows)
+    _set_covers(p, covers)
+    return p
+
+
 def _mask_elements(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -112,7 +142,9 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
     element at post-order from its closed successors (Goralčíková & Koubek,
     1979), skipping any that another one reaches: a step per pair read and
     per element, plus one per successor not skipped, which for a closed pair
-    list numbered along the order is one per cover.
+    list numbered along the order is one per cover.  The successors kept
+    hold every cover, and the covers are those that no kept successor's row
+    reaches (Aho, Garey & Ullman, 1972), so the result carries them.
     """
     succ = [0] * size
     for i, j in pairs:
@@ -122,6 +154,7 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
             raise CycleError((i, j))
         succ[i] |= 1 << j
     rows = [0] * size
+    covers = [0] * size
     seen = done = back = 0  # reached, closed, and targets of back edges
     finished = []  # the post-order
     for root in range(size):
@@ -141,12 +174,16 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
             back |= succ[e] & ~done  # reached, not closed: on the search path
             done |= 1 << e
             finished.append(e)
-            row, m = 0, succ[e]
+            row = through = 0
+            m = succ[e]
             while m:
                 low = m & -m
-                row |= low | rows[low.bit_length() - 1]
+                up = rows[low.bit_length() - 1]
+                through |= up
+                row |= low | up
                 m &= ~row
             rows[e] = row
+            covers[e] = row & ~through
     if back:
         # Kosaraju: searching back along the pairs from the latest finished
         # element left takes one strongly connected component; a step per
@@ -163,7 +200,7 @@ def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> FinitePoset:
                 if comp & (comp - 1):  # two or more elements: a cycle
                     least = min(least, (comp & -comp).bit_length() - 1)
         raise CycleError((least, least))
-    return FinitePoset(size, tuple(rows))
+    return _with_covers(size, tuple(rows), tuple(covers))
 
 
 def empty() -> FinitePoset:
@@ -177,11 +214,12 @@ def singleton() -> FinitePoset:
 def chain(n: int) -> FinitePoset:
     """The linear order 0 < 1 < ... < n-1."""
     full = (1 << n) - 1
-    return FinitePoset(n, tuple(full ^ ((2 << i) - 1) for i in range(n)))
+    rows = tuple(full ^ ((2 << i) - 1) for i in range(n))
+    return _with_covers(n, rows, tuple(row & -row for row in rows))  # i + 1 covers i
 
 
 def antichain(n: int) -> FinitePoset:
-    return FinitePoset(n, (0,) * n)
+    return _with_covers(n, (0,) * n, (0,) * n)
 
 
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -199,17 +237,35 @@ def substitute(p: FinitePoset, parts: list[FinitePoset]) -> FinitePoset:
 
     Block a occupies the contiguous index range starting at the sum of the
     earlier block sizes; x in block a precedes y in block b iff a < b in p, or
-    a = b and x < y inside the block.
+    a = b and x < y inside the block.  The covers are the parts' own, plus,
+    for each cover a < b of p, every maximal element of block a covered by
+    every minimal element of block b.  That holds once the empty blocks are
+    dropped, which leaves the relation as it is.
     """
     if len(parts) != p.size:
         raise ArityError(f"expected {p.size} parts, got {len(parts)}")
-    offsets = list(accumulate((part.size for part in parts), initial=0))
-    blocks = [((1 << part.size) - 1) << offsets[a] for a, part in enumerate(parts)]
-    rows = []
-    for a, part in enumerate(parts):
-        later = sum(blocks[b] for b in _mask_elements(p.rows[a]))  # disjoint blocks
-        rows += [row << offsets[a] | later for row in part.rows]
-    return FinitePoset(offsets[-1], tuple(rows))
+    sizes = [part.size for part in parts]
+    if 0 in sizes:
+        kept = [a for a, size in enumerate(sizes) if size]
+        p, parts, sizes = induced(p, kept), [parts[a] for a in kept], [sizes[a] for a in kept]
+    offsets = list(accumulate(sizes, initial=0))
+    blocks = [((1 << size) - 1) << offset for size, offset in zip(sizes, offsets)]
+    least = [block & ~(reduce(or_, part.rows) << offset)
+             for block, part, offset in zip(blocks, parts, offsets)]
+    rows, covers = [], []
+    for part, offset, above, ups in zip(parts, offsets, p.rows, p.covers):
+        later = nxt = 0  # the blocks above, and the least elements of those covering
+        while above:
+            low = above & -above
+            later |= blocks[low.bit_length() - 1]
+            above ^= low
+        while ups:
+            low = ups & -ups
+            nxt |= least[low.bit_length() - 1]
+            ups ^= low
+        rows += [row << offset | later for row in part.rows]
+        covers += [up << offset | (0 if row else nxt) for row, up in zip(part.rows, part.covers)]
+    return _with_covers(offsets[-1], tuple(rows), tuple(covers))
 
 
 def is_inclusion(p: FinitePoset, q: FinitePoset) -> bool:
@@ -235,7 +291,7 @@ def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
     entries, counting each order as its p.size elements.
     """
     out = []
-    for order in _extensions(_cover_lists(p.rows)):
+    for order in _extensions(_cover_lists(p)):
         if (len(out) + 1) * p.size > EXTENSION_GUARD:
             raise SizeError(f"linear_extensions is guarded at {EXTENSION_GUARD} entries")
         out.append(order)
@@ -244,11 +300,11 @@ def linear_extensions(p: FinitePoset) -> list[tuple[int, ...]]:
 
 def linear_extension(p: FinitePoset) -> tuple[int, ...]:
     """The first of :func:`linear_extensions`, without enumerating the rest."""
-    return next(_extensions(_cover_lists(p.rows)))
+    return next(_extensions(_cover_lists(p)))
 
 
-def _cover_lists(rows) -> list[tuple[int, ...]]:
-    return list(map(_mask_elements, cover_masks(rows)))
+def _cover_lists(p: FinitePoset) -> list[tuple[int, ...]]:
+    return list(map(_mask_elements, p.covers))
 
 
 def _extensions(covers: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -300,30 +356,27 @@ def is_linear_extension(p: FinitePoset, order: tuple[int, ...]) -> bool:
 
 def connected_components(p: FinitePoset) -> list[tuple[int, ...]]:
     """Components of the undirected comparability graph, sorted by least element."""
-    comps = components(comparability_graph(p.rows), (1 << p.size) - 1)
+    comps = components(comparability_graph(p), (1 << p.size) - 1)
     return [_mask_elements(c) for c in comps]
 
 
-def comparability_graph(rows) -> list[int]:
-    """Per element, the mask of elements comparable to it, given its closed row masks.
+def comparability_graph(p: FinitePoset) -> list[int]:
+    """Per element, the mask of elements comparable to it.
 
     Taken by descending row size, a linear extension, each element has its
-    down-set complete and pushes it, with itself, to the candidates of
-    :func:`cover_masks`' search, a set holding every cover: same cost.
+    down-set complete and pushes it, with itself, to the elements covering
+    it: one OR per cover.
     """
-    down = [0] * len(rows)
+    rows, covers = p.rows, p.covers
+    down = [0] * p.size
     sizes = list(map(int.bit_count, rows))
-    for i in sorted(range(len(rows)), key=sizes.__getitem__, reverse=True):
+    for i in sorted(range(p.size), key=sizes.__getitem__, reverse=True):
         mine = down[i] | 1 << i
-        remaining = rows[i]
-        while remaining:
-            k = (remaining & -remaining).bit_length() - 1
-            down[k] |= mine
-            remaining &= ~(1 << k | rows[k])
-            if remaining:
-                k = remaining.bit_length() - 1
-                down[k] |= mine
-                remaining &= ~(1 << k | rows[k])
+        ups = covers[i]
+        while ups:
+            low = ups & -ups
+            down[low.bit_length() - 1] |= mine
+            ups ^= low
     return list(map(or_, rows, down))
 
 
@@ -347,7 +400,7 @@ def _reach(graph, seed: int, within: int) -> int:
     return reached
 
 
-def cover_masks(rows) -> list[int]:
+def _search_covers(rows) -> tuple[int, ...]:
     """Per element, the mask of the elements covering it, given closed row masks.
 
     Aho, Garey & Ullman (1972): j covers i unless some k above i is below j.
@@ -355,7 +408,7 @@ def cover_masks(rows) -> list[int]:
     turn, and reach their rows; the covers are the candidates no candidate
     reaches.  Exact for any numbering, at a step per candidate: at most two
     per cover when labels rise or fall along the order, else up to one per
-    related pair.
+    related pair.  Only posets built without their covers need it.
     """
     covers = []
     for row in rows:
@@ -373,12 +426,12 @@ def cover_masks(rows) -> list[int]:
                 through |= rows[k]
                 remaining &= ~(1 << k | rows[k])
         covers.append(picked & ~through)
-    return covers
+    return tuple(covers)
 
 
 def transitive_reduction(p: FinitePoset) -> list[tuple[int, int]]:
     """The cover pairs: the minimal pair set whose closure is the relation."""
-    return [(i, j) for i, up in enumerate(cover_masks(p.rows)) for j in _mask_elements(up)]
+    return [(i, j) for i, up in enumerate(p.covers) for j in _mask_elements(up)]
 
 
 def enumerate_posets(n: int) -> Iterator[FinitePoset]:
@@ -402,7 +455,7 @@ def _enumerate(n: int) -> Iterator[FinitePoset]:
     full = (1 << k) - 1
     for base in _enumerate(k):
         rows = base.rows
-        cols = [near & ~row for near, row in zip(comparability_graph(rows), rows)]
+        cols = [near & ~row for near, row in zip(comparability_graph(base), rows)]
         down_closed = [
             d for d in range(full + 1) if all(cols[x] & ~d == 0 for x in _mask_elements(d))
         ]

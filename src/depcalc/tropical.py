@@ -32,6 +32,10 @@ MAX_GANTT_COLUMNS = 10_000
 #: a larger power of ten passes Python's int-to-text digit limit anyway.
 MAX_RUNTIME_EXPONENT = sys.int_info.default_max_str_digits
 
+#: Runtime types ``_ticks`` reads directly, matched by exact type: ``bool``,
+#: a subclass of ``int``, is not a runtime.
+_EXACT = (int, Fraction)
+
 
 def as_runtime(value) -> Runtime:
     """Coerce ints, decimal strings, and fractions to an exact nonnegative runtime."""
@@ -61,16 +65,28 @@ def boxtimes(p: FinitePoset, runtimes: Sequence[Runtime]) -> Runtime:
     if len(runtimes) != p.size:
         raise ArityError(f"expected {p.size} runtimes, got {len(runtimes)}")
     ticks, scale = _ticks(runtimes)
-    covers = _cover_lists(p.rows)
+    covers = _cover_lists(p)
     finish = _finish_ticks(covers, ticks, next(_extensions(covers)))
     return Fraction(max(finish, default=0), scale)
 
 
 def _ticks(runtimes: Sequence[Runtime]) -> tuple[list[int], int]:
-    """The runtimes as whole ticks of 1/scale, scale the lcm of their denominators."""
-    values = [as_runtime(r) for r in runtimes]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    """The runtimes as whole ticks of 1/scale, scale the lcm of their denominators.
+
+    A nonnegative ``int`` or ``Fraction`` is read as it stands; every other
+    value, a negative one included, goes through ``as_runtime``, which
+    converts it or raises.
+    """
+    nums, dens = [], []
+    for r in runtimes:
+        if type(r) not in _EXACT or r.numerator < 0:
+            r = as_runtime(r)
+        nums.append(r.numerator)
+        dens.append(r.denominator)
+    scale = lcm(*dens)
+    if scale == 1:
+        return nums, 1
+    return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
 
 def _finish_ticks(covers: list[tuple[int, ...]], ticks: list[int], order) -> list[int]:
@@ -107,7 +123,7 @@ def schedule(p: FinitePoset, runtimes: Sequence[Runtime]) -> Schedule:
     if n == 0:
         return Schedule((), (), Fraction(0), ())
     ticks, scale = _ticks(runtimes)
-    covers = _cover_lists(p.rows)
+    covers = _cover_lists(p)
     order = next(_extensions(covers))
     finish = _finish_ticks(covers, ticks, order)
     makespan = max(finish)

@@ -419,6 +419,13 @@ def all_posets(n: int) -> tuple:
     return tuple(enumerate_posets(n))
 
 
+def middle_out(n: int) -> list[int]:
+    """The labels n/2, n/2 + 1, n/2 - 1, n/2 + 2, ..., 0: they neither rise nor
+    fall along an order listed in that sequence."""
+    half = n // 2
+    return sorted(range(n), key=lambda v: 2 * (v - half) - 1 if v > half else 2 * (half - v))
+
+
 def alternating_nest(depth: int) -> str:
     """(ox x0 (tri x1 (ox x2 ...))) with `depth` parentheses; no level flattens."""
     heads = ("ox", "tri")

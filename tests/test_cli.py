@@ -25,7 +25,7 @@ from depcalc.polynomial import MAX_COMPOSE_ENTRIES
 from depcalc.poset import MAX_ELEMENTS, from_json_dict, to_json_dict
 from depcalc.tropical import MAX_GANTT_COLUMNS
 
-from conftest import alternating_nest, random_sp_covers
+from conftest import alternating_nest, middle_out, random_sp_covers
 
 ZIGZAG_JSON = {"elements": 4, "relations": [[0, 1], [2, 1], [2, 3]]}
 EXPR_JSON = {"elements": 4, "relations": [[0, 1], [0, 2], [2, 3]]}
@@ -138,6 +138,23 @@ def _run_poset_commands(capsys, path, n, covers, runtimes):
     return text
 
 
+def _run_on_a_chain(capsys, path, labels, runtimes):
+    """check, decompose and tropical on a chain listed bottom to top, with
+    positive runtimes: every output exactly."""
+    assert run(capsys, "check", "--poset", path) == (0, "expressible\n", "")
+    text = "(tri " + " ".join(f"x{e}" for e in labels) + ")\n"
+    assert run(capsys, "decompose", "--poset", path) == (0, text, "")
+    code, out, err = run(capsys, "tropical", "--poset", path,
+                         "--runtimes", ",".join(map(str, runtimes)), "--format", "json")
+    assert (code, err) == (0, "")
+    start, finish, done = [0] * len(labels), [0] * len(labels), 0
+    for e in labels:
+        start[e], done = done, done + runtimes[e]
+        finish[e] = done
+    assert json.loads(out) == {"critical_chain": labels, "makespan": str(done),
+                               "start": list(map(str, start)), "finish": list(map(str, finish))}
+
+
 def test_commands_on_thousands_of_elements_given_as_cover_pairs(write, capsys):
     n = 4096
     runtimes = [i % 5 for i in range(n)]
@@ -149,6 +166,10 @@ def test_commands_on_thousands_of_elements_given_as_cover_pairs(write, capsys):
     text = _run_poset_commands(capsys, write("sp.json", {"elements": n, "relations": covers}),
                                n, covers, runtimes)
     assert transitive_reduction(evaluate(parse_expression(text))) == sorted(covers)
+    # Labels that neither rise nor fall along the order.
+    labels = middle_out(n)
+    path = write("middle.json", {"elements": n, "relations": list(zip(labels, labels[1:]))})
+    _run_on_a_chain(capsys, path, labels, [1 + i % 3 for i in range(n)])
 
 
 @pytest.mark.slow
@@ -168,6 +189,9 @@ def test_commands_on_the_three_files_at_the_element_cap(write, capsys):
         else:
             head = "tri" if covers else "ox"
             assert text == f"({head} " + " ".join(f"x{i}" for i in range(n)) + ")\n"
+    labels = middle_out(n)
+    path = write("middle.json", {"elements": n, "relations": list(zip(labels, labels[1:]))})
+    _run_on_a_chain(capsys, path, labels, runtimes)
 
 
 def test_decompose_deep_ox_tri_alternation_exits_zero(write, capsys):

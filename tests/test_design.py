@@ -7,9 +7,11 @@ only, never the poset splits that ``decompose`` runs on.  Every value class is
 its field list on the one ``Record`` base.  Only the two derivation walks of
 ``structure_maps`` and the guarded ``enumerate_posets`` still recurse;
 ``normalize`` does not, and one walk gives the linear extensions.  Chains and
-full embeddings are test oracles, not library functions.  Importing the
-package generates no code, and loads every layer.  The traced benchmark names
-only functions and memo caches the library has.
+full embeddings are test oracles, not library functions.  Posets carry their
+covers, which one private function searches for only where a poset was built
+without them.  Importing the package generates no code, and loads every
+layer.  The traced benchmark names only functions and memo caches the library
+has.
 """
 
 import ast
@@ -42,7 +44,8 @@ FROM_PAIRS_CALLERS = {
 }
 
 
-def _from_pairs_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+def _callers(name: str, module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, enclosing function or module-level name) of each call to ``name``."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -52,8 +55,8 @@ def _from_pairs_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
             scope = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "from_pairs":
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
                 found.append((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -65,9 +68,46 @@ def _from_pairs_callers(module: str, tree: ast.Module) -> list[tuple[str, str]]:
 def test_from_pairs_is_called_only_at_input_boundaries():
     callers = []
     for path in sorted(SOURCE.glob("*.py")):
-        callers += _from_pairs_callers(path.stem, _tree(path.stem))
+        callers += _callers("from_pairs", path.stem, _tree(path.stem))
     assert set(callers) == FROM_PAIRS_CALLERS
     assert len(callers) == len(FROM_PAIRS_CALLERS)
+
+
+def _two_ended_searches(tree: ast.Module) -> set[str]:
+    """Functions that take both the least bit (``m & -m``) and the greatest
+    (``m.bit_length()``) of one mask ``m``: the greedy cover search."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        least, greatest = set(), set()
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.BitAnd)
+                    and isinstance(inner.left, ast.Name)
+                    and isinstance(inner.right, ast.UnaryOp)
+                    and isinstance(inner.right.op, ast.USub)
+                    and isinstance(inner.right.operand, ast.Name)
+                    and inner.right.operand.id == inner.left.id):
+                least.add(inner.left.id)
+            elif (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "bit_length" and isinstance(inner.func.value, ast.Name)):
+                greatest.add(inner.func.value.id)
+        if least & greatest:
+            found.add(node.name)
+    return found
+
+
+def test_covers_are_searched_for_in_one_place_on_first_read():
+    # Posets carry their covers from the constructors; only a poset built
+    # without them (``induced``, a bare ``FinitePoset``) searches, once.
+    searches, callers = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = _tree(path.stem)
+        searches += [(path.stem, name) for name in _two_ended_searches(tree)]
+        callers += _callers("_search_covers", path.stem, tree)
+    assert searches == [("poset", "_search_covers")]
+    assert callers == [("poset", "covers")]
+    assert not hasattr(depcalc.poset, "cover_masks")
 
 
 #: Poset splits that ``structure_maps`` must not import: its terms hold them.

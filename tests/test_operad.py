@@ -27,6 +27,7 @@ from depcalc import (
     singleton,
     substitute,
     terminal_cover_factorization,
+    transitive_reduction,
     unit,
 )
 from depcalc.operad import MAX_COVER_BITS
@@ -52,6 +53,22 @@ def test_act_and_intersect_match_the_pair_set_oracle():
         for q in all_posets(p.size):
             assert relation(intersect([p, q])) == oracle_intersect([p, q])
         assert relation(intersect([p])) == oracle_intersect([p])
+
+
+def test_act_relabels_a_long_chain_as_the_oracle_does():
+    # The pair sets of chain(4096) hold 8,386,560 pairs, so the relabelling is
+    # restated on rows: chain(n) relabelled is tau[0] < tau[1] < ... < tau[n-1].
+    n = 4096
+    tau = random.Random(n).sample(range(n), n)
+    rows, above = [0] * n, 0
+    for t in reversed(tau):
+        rows[t] = above
+        above |= 1 << t
+    moved = act(tau, chain(n))
+    assert moved.rows == tuple(rows)
+    assert transitive_reduction(moved) == sorted(zip(tau, tau[1:]))
+    tau = random.Random(256).sample(range(256), 256)
+    assert relation(act(tau, chain(256))) == oracle_act(tau, chain(256))
 
 
 def test_mu_is_substitution():

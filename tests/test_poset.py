@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from itertools import permutations, product
 
@@ -32,7 +34,6 @@ from depcalc import poset
 from depcalc.poset import (
     MAX_ELEMENTS,
     comparability_graph,
-    cover_masks,
     from_json_dict,
     is_linear_extension,
     to_dot,
@@ -50,9 +51,11 @@ from conftest import (
     oracle_induced,
     oracle_is_linear_extension,
     oracle_join,
+    oracle_act,
     oracle_linear_extension,
     oracle_substitute,
     oracle_union,
+    middle_out,
     random_sp_poset,
     relation,
 )
@@ -121,16 +124,24 @@ def test_closure_idempotent_on_all_small_posets():
             p.check_valid()
 
 
+def _check_covers(p):
+    """The covers p carries and the comparability masks read from them, against
+    the pair-set oracles."""
+    size = p.size
+    assert [(i, j) for i, up in enumerate(p.covers) for j in range(size) if up >> j & 1] \
+        == oracle_covers(p)
+    near = comparability_graph(p)
+    assert [frozenset(j for j in range(size) if m >> j & 1) for m in near] \
+        == oracle_comparable(p)
+    return p
+
+
 def _check_core_against_oracles(size, pairs):
     """from_pairs, then each pass over its rows, against the pair-set oracles."""
     p = from_pairs(size, pairs)
     assert relation(p) == (size, oracle_closure(size, pairs))
-    covers = cover_masks(p.rows)
-    assert [(i, j) for i, up in enumerate(covers) for j in range(size) if up >> j & 1] \
-        == oracle_covers(p)
-    near = comparability_graph(p.rows)
-    assert [frozenset(j for j in range(size) if m >> j & 1) for m in near] \
-        == oracle_comparable(p)
+    assert hasattr(p, "_covers")  # carried from the closure, not searched for
+    _check_covers(p)
     assert linear_extension(p) == oracle_linear_extension(p)
     return p
 
@@ -143,10 +154,8 @@ def _top_down(p):
 
 def _middle_out(p):
     """p relabelled so the positions of its first linear extension get the labels
-    n/2, n/2 + 1, n/2 - 1, ..., which neither rise nor fall along the order."""
-    n, half = p.size, p.size // 2
-    labels = sorted(range(n), key=lambda v: 2 * (v - half) - 1 if v > half else 2 * (half - v))
-    new = dict(zip(linear_extension(p), labels))
+    of ``middle_out``, which neither rise nor fall along the order."""
+    new = dict(zip(linear_extension(p), middle_out(p.size)))
     return [(new[i], new[j]) for i, j in p.pairs()]
 
 
@@ -170,13 +179,58 @@ def test_poset_core_matches_the_pair_set_oracles_on_relabelled_sp_posets():
             tau = list(range(n))
             rng.shuffle(tau)
             q = _check_core_against_oracles(n, [(tau[i], tau[j]) for i, j in p.pairs()])
-            covers = [(i, j) for i, up in enumerate(cover_masks(q.rows)) for j in range(n)
-                      if up >> j & 1]
+            covers = [(i, j) for i, up in enumerate(q.covers) for j in range(n) if up >> j & 1]
             rng.shuffle(covers)
             assert _check_core_against_oracles(n, covers) == q
             assert from_pairs(n, iter(covers)) == q  # any iterable, read once
             _check_core_against_oracles(n, _top_down(q))
             _check_core_against_oracles(n, _middle_out(q))
+
+
+def test_chain_and_antichain_carry_their_covers():
+    for n in (0, 1, 2, 5, 64):
+        for p in (chain(n), antichain(n)):
+            assert hasattr(p, "_covers")
+            _check_covers(p)
+
+
+def test_bare_and_induced_posets_find_their_covers_on_first_read():
+    for p in SMALL:
+        bare = FinitePoset(p.size, p.rows)
+        assert not hasattr(bare, "_covers")
+        _check_covers(bare)
+        assert hasattr(bare, "_covers")
+    rng = random.Random(22)
+    for n in (9, 33, 128):
+        q = from_pairs(n, _middle_out(random_sp_poset(rng, n)))
+        bare = FinitePoset(n, q.rows)
+        assert _check_covers(bare).covers == q.covers
+        elements = rng.sample(range(n), n // 2)
+        assert relation(_check_covers(induced(q, elements))) == oracle_induced(q, elements)
+
+
+def test_act_carries_covers_matching_the_oracle():
+    for n in range(5):
+        for p in all_posets(n):
+            for tau in permutations(range(n)):
+                assert relation(_check_covers(act(tau, p))) == oracle_act(tau, p)
+    rng = random.Random(23)
+    for n in (16, 64, 200):
+        p = from_pairs(n, _middle_out(random_sp_poset(rng, n, planted=True)))
+        tau = rng.sample(range(n), n)
+        assert relation(_check_covers(act(tau, p))) == oracle_act(tau, p)
+
+
+def test_covers_take_no_part_in_equality_hashing_repr_or_pickling():
+    assert FinitePoset.__match_args__ == ("size", "rows")
+    q = from_pairs(5, [(3, 1), (1, 4), (3, 0), (2, 0)])
+    bare = FinitePoset(q.size, q.rows)
+    assert (bare, hash(bare), repr(bare)) == (q, hash(q), repr(q))
+    for back in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+        assert back == q and hash(back) == hash(q)
+        assert not hasattr(back, "_covers")
+        assert back.covers == q.covers  # found again on first read
+    assert q.__reduce__() == (FinitePoset, (5, q.rows))
 
 
 def test_from_pairs_reports_the_least_element_on_a_cycle():
@@ -267,8 +321,8 @@ def test_interchange_inclusion_with_explicit_permutation():
 def test_union_and_join_match_the_pair_set_oracle():
     for p in SMALL:
         for q in SMALL:
-            assert relation(disjoint_union(p, q)) == oracle_union(p, q)
-            assert relation(join(p, q)) == oracle_join(p, q)
+            assert relation(_check_covers(disjoint_union(p, q))) == oracle_union(p, q)
+            assert relation(_check_covers(join(p, q))) == oracle_join(p, q)
 
 
 def test_large_join_builds_rows_directly():
@@ -289,7 +343,22 @@ def test_substitute_matches_the_pair_set_oracle():
     parts_pool = [p for n in range(3) for p in all_posets(n)]
     for p in SMALL:
         for parts in product(parts_pool, repeat=p.size):
-            assert relation(substitute(p, list(parts))) == oracle_substitute(p, parts)
+            composite = _check_covers(substitute(p, list(parts)))
+            assert relation(composite) == oracle_substitute(p, parts)
+
+
+def test_substitute_carries_covers_with_empty_and_relabelled_parts():
+    rng = random.Random(1984)
+    outers = [p for n in range(3, 6) for p in all_posets(n)]
+    for _ in range(300):
+        outer = rng.choice(outers)
+        parts = []
+        for _ in range(outer.size):
+            n = rng.choice((0, 0, 1, 2, 5, 9))
+            part = random_sp_poset(rng, n, planted=n >= 4) if n else empty()
+            parts.append(from_pairs(n, _middle_out(part)) if rng.random() < 0.5 else part)
+        composite = _check_covers(substitute(outer, parts))
+        assert relation(composite) == oracle_substitute(outer, parts)
 
 
 def test_substitute_arity():
@@ -480,7 +549,8 @@ def test_induced_matches_the_pair_set_oracle():
     for p in SMALL:
         for k in range(p.size + 1):
             for elements in permutations(range(p.size), k):
-                assert relation(induced(p, elements)) == oracle_induced(p, elements)
+                sub = _check_covers(induced(p, elements))
+                assert relation(sub) == oracle_induced(p, elements)
 
 
 # --- serialization ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from depcalc import (
     schedule,
 )
 from depcalc.expression import Otimes, Tri, Unit, Var
-from depcalc.tropical import MAX_GANTT_COLUMNS, as_runtime, render_gantt
+from depcalc.tropical import MAX_GANTT_COLUMNS, _ticks, as_runtime, render_gantt
 
 from conftest import (
     all_posets,
@@ -171,6 +173,27 @@ def test_as_runtime_parses_decimal_strings_exactly():
     for bad in ("-2", "1/0", float("inf"), True, False):  # JSON true/false are not runtimes
         with pytest.raises(ValueError):
             as_runtime(bad)
+
+
+def _ticks_through_as_runtime(runtimes):
+    values = [as_runtime(r) for r in runtimes]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def test_ticks_read_ints_and_fractions_as_as_runtime_does():
+    for runtimes in ([], [0, 3, 9], [F(1, 3), 2, F(5, 2)], ["0.1", 4, F(3, 4)], [F(6, 3), 0],
+                     [Decimal("1.5"), 1, 0.25, "7/3"], [10 ** 30, F(1, 10 ** 20)]):
+        ticks, scale = _ticks(runtimes)
+        assert (ticks, scale) == _ticks_through_as_runtime(runtimes)
+        assert all(type(t) is int for t in ticks) and type(scale) is int
+    for runtimes in ([True], [1, False], [-1], [2, F(-1, 2)], ["-2"], [3, "-0.5"],
+                     [1, "1/0"], [F(1), float("inf")], [0, -3, True]):
+        with pytest.raises(ValueError) as mine:
+            _ticks(runtimes)
+        with pytest.raises(ValueError) as reference:
+            _ticks_through_as_runtime(runtimes)
+        assert str(mine.value) == str(reference.value)
 
 
 def test_gantt_render():
