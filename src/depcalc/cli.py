@@ -145,7 +145,7 @@ def cmd_tropical(args) -> int:
         return 0
     # Drawn before anything is printed, so a chart past its size cap leaves
     # only the error line.
-    chart = render_gantt(plan, as_runtime(args.resolution)) if args.gantt else None
+    chart = render_gantt(plan, args.resolution) if args.gantt else None
     _print(f"makespan: {plan.makespan}")
     _print("element start finish")
     for e in range(p.size):

@@ -3,13 +3,13 @@
 A finite poset is expressible when it can be assembled from singletons using
 disjoint unions and joins (equivalently: it is series-parallel / N-free).
 The sole obstruction is a full embedding of the four-element zig-zag
-a < b > c < d; ``find_z`` searches for the least one, and ``decompose``
-either produces the canonical normal-form expression of the poset or returns
-that same obstruction.  Decomposition splits each part into its components
-or, when it is connected, at all of its series cuts in one pass, down to
-single elements; ``find_z`` runs only inside the parts that split neither
-way, the prime parts.  ``decompose`` is the one recognizer, memoized per
-poset.
+a < b > c < d; ``find_z`` scans the whole poset for the least one, and
+``decompose`` either produces the canonical normal-form expression of the
+poset or returns that same obstruction.  Decomposition splits each part into
+its components or, when it is connected, at all of its series cuts in one
+pass, down to single elements; the same scan, ``_least_zigzag``, runs only
+inside the parts that split neither way, the prime parts, on the poset's own
+masks and labels.  ``decompose`` is the one recognizer, memoized per poset.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from functools import lru_cache
 from typing import Union
 
 from .expression import UNIT, Expression, Otimes, Tri, Var
-from .poset import (
-    FinitePoset,
-    _mask_elements,
-    comparability_graph,
-    components,
-    from_pairs,
-    induced,
-)
+from .poset import FinitePoset, _mask_elements, comparability_graph, components, from_pairs
 from .record import Record
 
 #: The zig-zag pattern: 0 < 1, 2 < 1, 2 < 3 and no other relations.
@@ -57,12 +50,19 @@ def find_z(p: FinitePoset) -> Obstruction | None:
     operation is n/64 words beyond that), and the scan stops at the first
     witness.
     """
-    rows = p.rows
-    near = comparability_graph(p)
-    for a, row_a in enumerate(rows):
+    return _least_zigzag(p.rows, comparability_graph(p), (1 << p.size) - 1)
+
+
+def _least_zigzag(rows, near, mask: int) -> Obstruction | None:
+    """``find_z``'s scan over the elements of ``mask``, in their own labels.
+
+    ``rows`` are the up-set masks and ``near`` the comparability masks of
+    the whole poset; every candidate is kept inside ``mask``.
+    """
+    for a in _mask_elements(mask):
         # b is in near[a], so "far from a" also rules out d == b.
-        far_a = ~(near[a] | 1 << a)
-        for b in _mask_elements(row_a):
+        far_a = mask & ~(near[a] | 1 << a)
+        for b in _mask_elements(rows[a] & mask):
             far_ab = far_a & ~near[b]
             below_b = near[b] & ~rows[b]
             for c in _mask_elements(below_b & far_a):
@@ -83,34 +83,27 @@ def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
     Variable indices are the poset's element indices.  Failure is a return
     value, not an exception, so callers branch on the result.
 
-    The obstruction comes from ``find_z`` run on the prime parts only.  The
-    zig-zag is prime (no two or three of its elements form an autonomous
-    set), so each zig-zag of p lies inside one prime part, and ``induced``
-    keeps element order, so the least of the parts' witnesses is p's least.
+    The obstruction is ``normal_form``'s: the least zig-zag of the prime
+    parts, found by ``find_z``'s scan on each part's mask, with no copy.
     Memoized per poset: ``is_expressible``, ``depcalc check`` and
     ``derive_structure_map`` all recognize through this one call.
     """
-    result = normal_form(p.rows, comparability_graph(p), (1 << p.size) - 1)
-    if not isinstance(result, list):
-        return result
-    witnesses = []
-    for part in result:
-        elems = _mask_elements(part)
-        witness = find_z(induced(p, elems))
-        assert witness is not None, "prime part without a zig-zag"
-        witnesses.append(tuple(elems[k] for k in witness.elements))
-    return Obstruction(min(witnesses))
+    return normal_form(p.rows, comparability_graph(p), (1 << p.size) - 1)
 
 
-def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
+def normal_form(rows, neighbors, mask: int) -> Union[Expression, Obstruction]:
     """Normal-form expression of the sub-poset on ``mask``, variables named by element.
 
     ``rows`` are the elements' up-set masks and ``neighbors`` their
     comparability masks.  A part of two or more elements splits into its
     components, or, when connected, at all of its series cuts at once
     (``series_factors``).  A connected part with no series cut is prime: it
-    holds a zig-zag.  If any part is prime, the masks of all the prime parts
-    are returned, in expansion order, instead of an expression.
+    holds a zig-zag.  If any part is prime, the least zig-zag of the prime
+    parts is returned instead of an expression.  That is the least zig-zag
+    on ``mask``: the zig-zag is prime (no two or three of its elements form
+    an autonomous set), so each zig-zag lies inside one prime part, and each
+    part is scanned as a mask of the poset's own elements, so its witness is
+    already in their labels.
 
     The parts are expanded depth first from an explicit stack, so neither
     long chains nor deep alternations of ox and tri cost recursion depth.
@@ -121,14 +114,14 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
     """
     done: list = []  # finished sub-expressions, in expansion order
     todo: list = [mask]  # masks to expand and (constructor, arity) to combine
-    primes: list[int] = []
+    least = None  # the least zig-zag of the prime parts so far
     while todo:
         item = todo.pop()
         if not isinstance(item, int):
             make, arity = item
             args = done[-arity:]
             del done[-arity:]
-            done.append(None if primes else make(tuple(args)))
+            done.append(None if least else make(tuple(args)))
             continue
         if not item & (item - 1):
             done.append(Var(item.bit_length() - 1) if item else UNIT)
@@ -137,12 +130,15 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, list[int]]:
         if len(parts) == 1:
             parts, make = series_factors(rows, item), Tri
             if len(parts) == 1:
-                primes.append(item)
+                witness = _least_zigzag(rows, neighbors, item)
+                assert witness is not None, "prime part without a zig-zag"
+                if least is None or witness.elements < least.elements:
+                    least = witness
                 done.append(None)
                 continue
         todo.append((make, len(parts)))
         todo.extend(reversed(parts))  # the first part is last, so it pops first
-    return primes or done[0]
+    return least or done[0]
 
 
 def series_factors(rows, mask: int) -> list[int]:

@@ -162,16 +162,19 @@ def check_interchange(a, b, c, d) -> bool:
     return max(a + b, c + d) <= max(a, c) + max(b, d)
 
 
-def render_gantt(plan: Schedule, resolution: Runtime | int = 1) -> str:
+def render_gantt(plan: Schedule, resolution: Runtime | int | str = 1) -> str:
     """Fixed-width text chart, one row per element, one column per resolution step.
 
     A cell is filled when the task overlaps that time window; zero-duration
     tasks mark their start instant.  Raises SizeError when the chart would
     need more than ``MAX_GANTT_COLUMNS`` columns.
     """
-    res = as_runtime(resolution)
+    try:
+        res = as_runtime(resolution)
+    except ValueError:  # negative or unreadable: named as the resolution, not a runtime
+        res = 0
     if res == 0:
-        raise ValueError("resolution must be positive")
+        raise ValueError(f"resolution must be a positive number, got {resolution!r}")
     n = len(plan.start)
     columns = int(max(1, -(-plan.makespan // res)))
     if columns > MAX_GANTT_COLUMNS:

@@ -172,6 +172,30 @@ def test_commands_on_thousands_of_elements_given_as_cover_pairs(write, capsys):
     _run_on_a_chain(capsys, path, labels, [1 + i % 3 for i in range(n)])
 
 
+def _blown_up_zigzag_covers(k):
+    """Cover pairs of the zig-zag with each element blown up into a k-chain,
+    block a first: labels 0..k-1 are a's chain, k..2k-1 b's, and so on."""
+    pairs = [(i, i + 1) for block in range(4) for i in range(block * k, block * k + k - 1)]
+    return pairs + [(k - 1, k), (3 * k - 1, k), (3 * k - 1, 3 * k)]
+
+
+def _check_and_decompose_the_blown_up_zigzag(write, capsys, k):
+    """The whole file is one prime part: both commands name the least
+    element of each block, in text and in JSON."""
+    path = write("blown.json", {"elements": 4 * k, "relations": _blown_up_zigzag_covers(k)})
+    witness = [0, k, 2 * k, 3 * k]
+    line = "not expressible; zig-zag at " + " ".join(map(str, witness)) + "\n"
+    for command, verdict in (("check", {"expressible": False}), ("decompose", {"expression": None})):
+        assert run(capsys, command, "--poset", path) == (1, line, "")
+        code, out, err = run(capsys, command, "--poset", path, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {**verdict, "obstruction": witness}
+
+
+def test_check_and_decompose_the_blown_up_zigzag_on_thousands_of_elements(write, capsys):
+    _check_and_decompose_the_blown_up_zigzag(write, capsys, 1024)
+
+
 @pytest.mark.slow
 def test_commands_on_the_three_files_at_the_element_cap(write, capsys):
     n = MAX_ELEMENTS
@@ -192,6 +216,7 @@ def test_commands_on_the_three_files_at_the_element_cap(write, capsys):
     labels = middle_out(n)
     path = write("middle.json", {"elements": n, "relations": list(zip(labels, labels[1:]))})
     _run_on_a_chain(capsys, path, labels, runtimes)
+    _check_and_decompose_the_blown_up_zigzag(write, capsys, n // 4)
 
 
 def test_decompose_deep_ox_tri_alternation_exits_zero(write, capsys):
@@ -510,6 +535,15 @@ def test_tropical_gantt_resolution(write, capsys):
         "0.5",
     )
     assert code == 0 and "[##]" in out
+
+
+def test_tropical_gantt_bad_resolution_names_the_resolution(write, capsys):
+    path = write("p.json", {"elements": 1, "relations": []})
+    for resolution in ("-1", "abc", "0", "1e99999"):
+        code, out, err = run(capsys, "tropical", "--poset", path, "--runtimes", "1",
+                             "--gantt", "--resolution", resolution)
+        assert (code, out) == (2, "")
+        assert err == f"error: resolution must be a positive number, got {resolution!r}\n"
 
 
 def test_tropical_gantt_past_the_column_cap_exits_two(write, capsys):

@@ -9,9 +9,11 @@ its field list on the one ``Record`` base.  Only the two derivation walks of
 ``normalize`` does not, and one walk gives the linear extensions.  Chains and
 full embeddings are test oracles, not library functions.  Posets carry their
 covers, which one private function searches for only where a poset was built
-without them.  Importing the package generates no code, and loads every
-layer.  The traced benchmark names only functions and memo caches the library
-has.
+without them.  Recognition scans each prime part in place, on the poset's own
+masks, through the one zig-zag scan that ``find_z`` also runs; it copies no
+part into an induced sub-poset, and nothing in the library calls ``find_z``.
+Importing the package generates no code, and loads every layer.  The traced
+benchmark names only functions and memo caches the library has.
 """
 
 import ast
@@ -108,6 +110,20 @@ def test_covers_are_searched_for_in_one_place_on_first_read():
     assert searches == [("poset", "_search_covers")]
     assert callers == [("poset", "covers")]
     assert not hasattr(depcalc.poset, "cover_masks")
+
+
+def test_prime_parts_are_scanned_in_place():
+    tree = _tree("expressible")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "induced" not in imported
+    whole, scans = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = _tree(path.stem)
+        whole += _callers("find_z", path.stem, tree)
+        scans += _callers("_least_zigzag", path.stem, tree)
+    assert whole == []
+    assert sorted(scans) == [("expressible", "find_z"), ("expressible", "normal_form")]
 
 
 #: Poset splits that ``structure_maps`` must not import: its terms hold them.

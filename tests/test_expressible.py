@@ -21,11 +21,12 @@ from depcalc import (
     join,
     parse_expression,
     singleton,
+    substitute,
 )
 
 from depcalc.expression import is_normal
 
-from conftest import all_posets, buildable_posets, oracle_find_z, random_sp_poset
+from conftest import all_posets, buildable_posets, middle_out, oracle_find_z, random_sp_poset
 
 EXPR_POSET = from_pairs(4, [(0, 1), (0, 2), (2, 3)])  # x0 below x1, x2; x2 below x3
 
@@ -109,6 +110,53 @@ def test_decompose_matches_brute_force_search():
             assert (find_z(p) is None) == expressible
             result = decompose(p)
             assert isinstance(result, Obstruction) != expressible
+
+
+def _prime_shape(rng, n):
+    """A poset on at most n elements built from zig-zags and random
+    series-parallel parts by disjoint union, join and substitution into the
+    zig-zag, so it can hold several prime parts, and prime parts with modules."""
+    kind = rng.choice(("sp", "zigzag", "union", "join", "blow-up")) if n >= 4 else "sp"
+    if kind == "sp":
+        return random_sp_poset(rng, rng.randint(1, n))
+    if kind == "zigzag":
+        return ZIGZAG
+    if kind == "blow-up":
+        return substitute(ZIGZAG, [_prime_shape(rng, n // 4) for _ in range(4)])
+    k = rng.randint(1, n - 1)
+    combine = disjoint_union if kind == "union" else join
+    return combine(_prime_shape(rng, k), _prime_shape(rng, n - k))
+
+
+def test_decompose_least_witness_across_prime_parts():
+    # Each shape under its own labels, a random relabelling and the
+    # middle-out one: decompose's witness, found part by part, is the
+    # whole-poset scan's and the oracle's.
+    rng = random.Random(20261020)
+    blocked = 0
+    for _ in range(200):
+        p = _prime_shape(rng, 16)
+        n = p.size
+        for tau in (range(n), rng.sample(range(n), n), middle_out(n)):
+            q = act(list(tau), p)
+            expected, result = _oracle_witness(q), decompose(q)
+            assert find_z(q) == expected
+            assert (result if isinstance(result, Obstruction) else None) == expected
+            blocked += expected is not None
+    assert blocked >= 400
+    # Two zig-zags; element 0 is the d of the first, whose witness is
+    # (5, 6, 7, 0), so the least witness lies in the part expanded second.
+    q = act([5, 6, 7, 0, 1, 2, 3, 4], disjoint_union(ZIGZAG, ZIGZAG))
+    assert decompose(q) == find_z(q) == _oracle_witness(q) == Obstruction((1, 2, 3, 4))
+
+
+def test_decompose_keeps_no_copy_of_a_prime_part():
+    # A prime part is scanned in place: no induced sub-poset enters find_z's memo.
+    p = join(chain(2), disjoint_union(substitute(ZIGZAG, [chain(3), antichain(2), chain(1),
+                                                          chain(5)]), ZIGZAG))
+    before = find_z.cache_info().currsize
+    assert decompose.__wrapped__(p) == Obstruction((2, 5, 7, 8))
+    assert find_z.cache_info().currsize == before
 
 
 def test_decompose_builds_normal_terms():

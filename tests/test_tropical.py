@@ -238,6 +238,17 @@ def test_gantt_at_the_column_cap_matches_the_oracle():
     assert art.splitlines()[1] == "1 [" + "." * 2500 + "|" + "." * 7499 + "]"
 
 
+def test_gantt_names_a_bad_resolution_as_the_resolution():
+    # Zero, negative and unreadable resolutions all get the one message; a
+    # negative one is not reported as a runtime.
+    plan = schedule(chain(1), [F(1)])
+    for resolution in (0, F(0), -1, F(-1, 2), "-1", "abc", "1/0", "0"):
+        with pytest.raises(ValueError) as err:
+            render_gantt(plan, resolution)
+        assert str(err.value) == f"resolution must be a positive number, got {resolution!r}"
+    assert render_gantt(plan, "1/2") == render_gantt(plan, F(1, 2)) == "0 [##]"
+
+
 def test_gantt_column_cap():
     plan = schedule(chain(1), [F(1)])
     widest = render_gantt(plan, F(1, MAX_GANTT_COLUMNS))
