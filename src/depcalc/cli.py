@@ -27,7 +27,10 @@ from .tropical import as_runtime, render_gantt, schedule
 
 def _load_json(path: str, parse_float=float):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_float=parse_float)
+        try:
+            return json.load(handle, parse_float=parse_float)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply to read") from None
 
 
 def _load_poset(path: str) -> ps.FinitePoset:
@@ -177,10 +180,10 @@ def cmd_poly(args) -> int:
     else:
         p = _load_poset(args.poset)
         parts = [_load_poly(path) for path in args.parts]
-        if args.extension:
-            ell = tuple(int(tok) for tok in args.extension.split(","))
-        else:
+        if args.extension is None:
             ell = ps.linear_extension(p)
+        else:  # "" is the empty order
+            ell = tuple(map(int, args.extension.split(","))) if args.extension else ()
         result = pl.boxtimes_poly(p, parts, ell)
     _emit_poly(result, args.format, args.verbose)
     return 0

@@ -5,11 +5,12 @@ disjoint unions and joins (equivalently: it is series-parallel / N-free).
 The sole obstruction is a full embedding of the four-element zig-zag
 a < b > c < d; ``find_z`` scans the whole poset for the least one, and
 ``decompose`` either produces the canonical normal-form expression of the
-poset or returns that same obstruction.  Decomposition splits each part into
-its components or, when it is connected, at all of its series cuts in one
-pass, down to single elements; the same scan, ``_least_zigzag``, runs only
-inside the parts that split neither way, the prime parts, on the poset's own
-masks and labels.  ``decompose`` is the one recognizer, memoized per poset.
+poset or returns that same obstruction.  Decomposition splits each part, down
+to single elements, with one component search: a disjoint union into the
+components of its comparability graph, a join into those of the complement.
+The same scan, ``_least_zigzag``, runs only inside the parts that split
+neither way, the prime parts, on the poset's own masks and labels.
+``decompose`` is the one recognizer, memoized per poset.
 """
 
 from __future__ import annotations
@@ -95,15 +96,16 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, Obstruction]:
     """Normal-form expression of the sub-poset on ``mask``, variables named by element.
 
     ``rows`` are the elements' up-set masks and ``neighbors`` their
-    comparability masks.  A part of two or more elements splits into its
-    components, or, when connected, at all of its series cuts at once
-    (``series_factors``).  A connected part with no series cut is prime: it
-    holds a zig-zag.  If any part is prime, the least zig-zag of the prime
-    parts is returned instead of an expression.  That is the least zig-zag
-    on ``mask``: the zig-zag is prime (no two or three of its elements form
-    an autonomous set), so each zig-zag lies inside one prime part, and each
-    part is scanned as a mask of the poset's own elements, so its witness is
-    already in their labels.
+    comparability masks.  A part of two or more elements splits into the
+    components of its comparability graph or, when connected, of the
+    complement (Gallai 1967): its series factors, each wholly below the next,
+    so sorted by the up-set size of any one element.  A part that splits
+    neither way is prime and holds a zig-zag; if any part is prime, the least
+    zig-zag of the prime parts is returned instead of an expression.  That is
+    the least zig-zag on ``mask``: the zig-zag is prime (no two or three of
+    its elements form an autonomous set), so each zig-zag lies inside one
+    prime part, and each part is scanned as a mask of the poset's own
+    elements, so its witness is already in their labels.
 
     The parts are expanded depth first from an explicit stack, so neither
     long chains nor deep alternations of ox and tri cost recursion depth.
@@ -115,6 +117,7 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, Obstruction]:
     done: list = []  # finished sub-expressions, in expansion order
     todo: list = [mask]  # masks to expand and (constructor, arity) to combine
     least = None  # the least zig-zag of the prime parts so far
+    apart = None  # the complement of neighbors, built for the first connected part
     while todo:
         item = todo.pop()
         if not isinstance(item, int):
@@ -128,7 +131,10 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, Obstruction]:
             continue
         parts, make = components(neighbors, item), Otimes
         if len(parts) == 1:
-            parts, make = series_factors(rows, item), Tri
+            if apart is None:
+                every = (1 << len(neighbors)) - 1
+                apart = [every ^ near for near in neighbors]
+            parts, make = components(apart, item), Tri
             if len(parts) == 1:
                 witness = _least_zigzag(rows, neighbors, item)
                 assert witness is not None, "prime part without a zig-zag"
@@ -136,34 +142,8 @@ def normal_form(rows, neighbors, mask: int) -> Union[Expression, Obstruction]:
                     least = witness
                 done.append(None)
                 continue
+            parts.sort(key=lambda f: rows[f.bit_length() - 1].bit_count(), reverse=True)
         todo.append((make, len(parts)))
         todo.extend(reversed(parts))  # the first part is last, so it pops first
     return least or done[0]
 
-
-def series_factors(rows, mask: int) -> list[int]:
-    """The sub-poset on ``mask`` cut at every series cut, as masks, lowest first.
-
-    A series cut splits the part into a lower set lying below all of the
-    rest.  Listing the elements by how many elements of the part lie above
-    them, most first, gives a linear extension (x < y means x has all of
-    y's up-set and y besides), and every lower set is a prefix of it: its
-    elements each have the rest above them, the rest's elements do not.  A
-    prefix is a lower set exactly when the AND of its rows holds the rest,
-    so one pass finds every cut.
-    """
-    order = sorted(_mask_elements(mask), key=lambda e: (rows[e] & mask).bit_count(),
-                   reverse=True)
-    factors = []
-    factor = 0
-    common = -1  # the AND of the rows of the prefix so far
-    rest = mask
-    for e in order:
-        bit = 1 << e
-        factor |= bit
-        rest ^= bit
-        common &= rows[e]
-        if not rest & ~common:  # always so after the last element
-            factors.append(factor)
-            factor = 0
-    return factors

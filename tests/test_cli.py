@@ -405,6 +405,7 @@ def test_poly_boxtimes_reads_the_given_extension(write, capsys):
         2, "", "error: (0, 1) is not a linear extension of the poset\n")
     assert run(capsys, *argv, "a") == (
         2, "", "error: invalid literal for int() with base 10: 'a'\n")
+    assert run(capsys, *argv, "") == (2, "", "error: () is not a linear extension of the poset\n")
 
 
 def _one_wire_diagram(write):
@@ -605,6 +606,17 @@ def test_non_integer_json_exits_two(write, capsys):
     code, _, err = run(capsys, "poly", "ox", "--left", write("p.json", {"positions": [True]}),
                        "--right", write("q.json", {"positions": [1]}))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_deeply_nested_json_exits_two(tmp_path, write, capsys):
+    # json.load recurses once per bracket; a file too deep for it is an input
+    # error, whichever option names it.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert run(capsys, "check", "--poset", str(deep)) == (
+        2, "", f"error: {deep}: JSON nests too deeply to read\n")
+    argv = ["diagram", "decorate", *_one_wire_diagram(write), "--assign-file", str(deep)]
+    assert run(capsys, *argv) == (2, "", f"error: {deep}: JSON nests too deeply to read\n")
 
 
 @pytest.mark.parametrize("relations", [5, None, "01", {"0": 1}])

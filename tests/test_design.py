@@ -12,6 +12,8 @@ covers, which one private function searches for only where a poset was built
 without them.  Recognition scans each prime part in place, on the poset's own
 masks, through the one zig-zag scan that ``find_z`` also runs; it copies no
 part into an induced sub-poset, and nothing in the library calls ``find_z``.
+Both of its splits are the one component search, ``components``: over the
+comparability masks for a disjoint union, over their complement for a join.
 Importing the package generates no code, and loads every layer.  The traced
 benchmark names only functions and memo caches the library has.
 """
@@ -124,6 +126,23 @@ def test_prime_parts_are_scanned_in_place():
         scans += _callers("_least_zigzag", path.stem, tree)
     assert whole == []
     assert sorted(scans) == [("expressible", "find_z"), ("expressible", "normal_form")]
+
+
+def test_both_splits_are_one_component_search():
+    # A disjoint union splits the comparability graph into its components, a
+    # join splits the complement: ``normal_form`` pairs one ``components``
+    # call with each product, and no second split search is left.
+    tree = _tree("expressible")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "series_factors" not in defined
+    assert _callers("components", "expressible", tree) == [("expressible", "normal_form")] * 2
+    paired = sorted(
+        other.id
+        for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+        and any(isinstance(item, ast.Call) and getattr(item.func, "id", None) == "components"
+                for item in node.elts)
+        for other in node.elts if isinstance(other, ast.Name))
+    assert paired == ["Otimes", "Tri"]
 
 
 #: Poset splits that ``structure_maps`` must not import: its terms hold them.

@@ -223,9 +223,13 @@ def test_antichain_and_chain_decompositions():
 
 
 def test_decompose_long_chain_peels_without_recursion():
+    # Numbered upward, top down, middle-out and at random: the series factors
+    # come lowest first whatever their labels.
     n = 2000
-    expected = "(tri " + " ".join(f"x{i}" for i in range(n)) + ")"
-    assert format_expression(decompose(chain(n))) == expected
+    up = list(range(n))
+    for tau in (up, up[::-1], middle_out(n), random.Random(2000).sample(up, n)):
+        expected = "(tri " + " ".join(f"x{t}" for t in tau) + ")"
+        assert format_expression(decompose(act(tau, chain(n)))) == expected
 
 
 def test_decompose_obstruction_is_the_oracles_least_witness():
