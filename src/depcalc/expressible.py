@@ -3,14 +3,14 @@
 A finite poset is expressible when it can be assembled from singletons using
 disjoint unions and joins (equivalently: it is series-parallel / N-free).
 The sole obstruction is a full embedding of the four-element zig-zag
-a < b > c < d; ``find_z`` scans the whole poset for the least one, and
-``decompose`` either produces the canonical normal-form expression of the
-poset or returns that same obstruction.  Decomposition splits each part, down
-to single elements, with one component search: a disjoint union into the
-components of its comparability graph, a join into those of the complement.
-The same scan, ``_least_zigzag``, runs only inside the parts that split
-neither way, the prime parts, on the poset's own masks and labels.
-``decompose`` is the one recognizer, memoized per poset.
+a < b > c < d, so ``decompose`` either produces the canonical normal-form
+expression of the poset or returns its least obstruction, and ``find_z`` is
+that obstruction or None.  Decomposition splits each part, down to single
+elements, with one component search: a disjoint union into the components of
+its comparability graph, a join into those of the complement.  The zig-zag
+scan, ``_least_zigzag``, runs only inside the parts that split neither way,
+the prime parts, on the poset's own masks and labels.  ``decompose`` is the
+one recognizer, memoized per poset.
 """
 
 from __future__ import annotations
@@ -36,29 +36,29 @@ class Obstruction(Record):
     __slots__ = ("elements",)
 
 
+# The memo holds nothing ``decompose``'s does not; ``perfbench`` reads its ``cache_info()``.
 @lru_cache(maxsize=MEMO_SIZE)
 def find_z(p: FinitePoset) -> Obstruction | None:
-    """The lexicographically least zig-zag quadruple, or None.
+    """The lexicographically least zig-zag quadruple, or None: ``decompose``'s obstruction.
 
     A quadruple (a, b, c, d) qualifies when the induced order on those four
     elements is exactly a < b, c < b, c < d.
-
-    The search scans per-element masks: for ``a`` ascending, ``b`` ascending
-    above ``a``, and ``c`` ascending below ``b`` and incomparable to ``a``,
-    the candidates for ``d`` are one mask (above ``c``, comparable to neither
-    ``a`` nor ``b``), whose lowest bit is the least ``d``.  The cost is at
-    most O(n³) word operations while n fits a machine word (each mask
-    operation is n/64 words beyond that), and the scan stops at the first
-    witness.
     """
-    return _least_zigzag(p.rows, comparability_graph(p), (1 << p.size) - 1)
+    result = decompose(p)
+    return result if isinstance(result, Obstruction) else None
 
 
 def _least_zigzag(rows, near, mask: int) -> Obstruction | None:
-    """``find_z``'s scan over the elements of ``mask``, in their own labels.
+    """The least zig-zag among the elements of ``mask``, in their own labels.
 
     ``rows`` are the up-set masks and ``near`` the comparability masks of
-    the whole poset; every candidate is kept inside ``mask``.
+    the whole poset; every candidate is kept inside ``mask``.  The scan takes
+    ``a`` ascending, ``b`` ascending above ``a``, and ``c`` ascending below
+    ``b`` and incomparable to ``a``; the candidates for ``d`` are then one
+    mask (above ``c``, comparable to neither ``a`` nor ``b``), whose lowest
+    bit is the least ``d``.  The cost is at most O(n³) word operations while
+    n fits a machine word (each mask operation is n/64 words beyond that),
+    and the scan stops at the first witness.
     """
     for a in _mask_elements(mask):
         # b is in near[a], so "far from a" also rules out d == b.
@@ -79,14 +79,14 @@ def is_expressible(p: FinitePoset) -> bool:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def decompose(p: FinitePoset) -> Union[Expression, Obstruction]:
-    """Expression in normal form with evaluate(result) = p, or ``find_z(p)``.
+    """Expression in normal form with evaluate(result) = p, or p's least zig-zag.
 
     Variable indices are the poset's element indices.  Failure is a return
     value, not an exception, so callers branch on the result.
 
     The obstruction is ``normal_form``'s: the least zig-zag of the prime
-    parts, found by ``find_z``'s scan on each part's mask, with no copy.
-    Memoized per poset: ``is_expressible``, ``depcalc check`` and
+    parts, found by ``_least_zigzag`` on each part's mask, with no copy.
+    Memoized per poset: ``find_z``, ``is_expressible``, ``depcalc check`` and
     ``derive_structure_map`` all recognize through this one call.
     """
     return normal_form(p.rows, comparability_graph(p), (1 << p.size) - 1)

@@ -8,8 +8,9 @@ substitution composition (a position plus a direction-indexed choice of next
 positions; directions become dependent pairs).
 
 Morphisms are dependent lenses: a forward map on positions and, per source
-position, a backward map on the target position's directions.  ``comparitor``
-and ``interchanger`` build the two canonical structure maps in that shape.
+position, a backward map on the target position's directions.
+``interchanger`` builds the canonical structure map in that shape, and
+``comparitor`` is the interchanger with unit corners.
 
 ``boxtimes_poly`` generalizes composition to an arbitrary dependency poset:
 positions are strategies that pick, stage by stage along a linear extension,
@@ -31,10 +32,10 @@ from .record import Record
 BOX_MAX_FACTORS = 4
 BOX_MAX_POSITIONS = 4
 
-#: Most entries ``dirichlet``, ``compose`` and ``interchanger`` build; past it
-#: each raises SizeError before enumerating anything.  ``dirichlet(p, q)``
-#: builds |p| * |q| positions; ``compose(p, q)`` builds
-#: sum(|q| ** d * max(d, 1)) entries over p's direction counts d.
+#: Most entries ``dirichlet``, ``compose`` and ``interchanger`` (so
+#: ``comparitor``) build; past it each raises SizeError before enumerating
+#: anything.  ``dirichlet(p, q)`` builds |p| * |q| positions; ``compose(p, q)``
+#: builds sum(|q| ** d * max(d, 1)) entries over p's direction counts d.
 MAX_COMPOSE_ENTRIES = 1 << 20
 
 
@@ -137,25 +138,13 @@ def _function_rank(f: Sequence[int], base: int) -> int:
 
 
 def comparitor(p: FinitePolynomial, q: FinitePolynomial) -> PolyMorphism:
-    """dirichlet(p, q) -> compose(p, q): (I, J) goes to (I, constantly J).
+    """dirichlet(p, q) -> compose(p, q): the interchanger at unit corners.
 
-    The backward direction maps are identities under the fixed encodings: a
-    composite direction (i, j) at a constant function has offset i*d_q(J)+j,
-    the same as the row-major pair.
+    The two products share the unit ``IDENTITY``, so p ox q is
+    (p tri I) ox (I tri q) and p tri q is (p ox I) tri (I ox q): (I, J) goes
+    to (I, constantly J), and every backward direction map is an identity.
     """
-    source = dirichlet(p, q)
-    target = compose(p, q)
-    nq = q.positions
-    offsets = list(accumulate((nq**dp for dp in p.directions), initial=0))
-    position_map = []
-    direction_maps = []
-    for i_pos, dp in enumerate(p.directions):
-        for j_pos in range(nq):
-            const = [j_pos] * dp
-            position_map.append(offsets[i_pos] + _function_rank(const, nq))
-            count = dp * q.directions[j_pos]
-            direction_maps.append(tuple(range(count)))
-    return PolyMorphism(source, target, tuple(position_map), tuple(direction_maps))
+    return interchanger(p, IDENTITY, IDENTITY, q)
 
 
 def _compose_size(p: FinitePolynomial, q: FinitePolynomial) -> tuple[int, int]:
@@ -203,16 +192,14 @@ def interchanger(
     if built + p.positions * r.positions + q.positions * s.positions > MAX_COMPOSE_ENTRIES:
         raise SizeError(f"interchanger is guarded at {MAX_COMPOSE_ENTRIES} entries")
     rs_positions = list(_compose_positions(r, s))
-    pq = compose(p, q)
     rs = compose(r, s)
-    source = dirichlet(pq, rs)
-    target = compose(dirichlet(p, r), dirichlet(q, s))
-    qs = dirichlet(q, s)
+    source = dirichlet(compose(p, q), rs)
+    pr, qs = dirichlet(p, r), dirichlet(q, s)
+    target = compose(pr, qs)
     n_qs = qs.positions
     ns = s.positions
 
     # Offsets of the target's (m, g) groups: group m has n_qs**d_pr(m) members.
-    pr = dirichlet(p, r)
     target_offsets = list(accumulate((n_qs**d for d in pr.directions), initial=0))
 
     position_map = []

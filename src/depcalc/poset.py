@@ -44,9 +44,9 @@ class FinitePoset(Record):
     through :func:`from_pairs` or the constructors below, which guarantee
     closure; the constructor itself checks only the shape of ``rows``.
     Values are immutable, compare and hash by ``(size, rows)``, and key the
-    memo caches of ``find_z`` and ``decompose``.  The cover masks ride along
-    outside those fields, so they play no part in equality, hashing, ``repr``
-    or pickling.
+    memo caches of ``decompose`` and of ``find_z``, its obstruction.  The
+    cover masks ride along outside those fields, so they play no part in
+    equality, hashing, ``repr`` or pickling.
     """
 
     __match_args__ = ("size", "rows")

@@ -24,13 +24,13 @@ mask (``_restrict``).  Children kept in order from a normal product form a
 normal product, so neither the splits nor a restriction that cuts no child
 is renormalized.
 Each side's term, or its zig-zag, comes from ``decompose``, memoized per
-poset, which is also the recognizer: no separate ``find_z`` scan runs on
-either side.  ``verify_proof`` deliberately does not use those splits: it
-evaluates every node's endpoints with ``up_sets``, a fold over the term that
-returns one up-set mask per variable (each distinct term once per call), and
-tests inclusion variable by variable, so a fault in the derivation's splits
-cannot make a wrong derivation check out.  The one node it accepts without
-evaluating is an ``Equiv`` whose two sides are the same term: the identity.
+poset, which is also the recognizer.  ``verify_proof`` deliberately does not
+use those splits: it evaluates every node's endpoints with ``up_sets``, a
+fold over the term that returns one up-set mask per variable (each distinct
+term once per call), and tests inclusion variable by variable, so a fault in
+the derivation's splits cannot make a wrong derivation check out.  The one
+node it accepts without evaluating is an ``Equiv`` whose two sides are the
+same term: the identity.  A tree holding anything but proof nodes fails it.
 
 Proof nodes are records (``depcalc.record``) whose fields are their children,
 or an ``Equiv``'s two terms; they are not interned.  Each stores the hash of
@@ -55,7 +55,7 @@ from functools import lru_cache
 from operator import and_, attrgetter, invert
 from typing import Union
 
-from .errors import DepcalcError, NotExpressible, NotInclusion
+from .errors import DepcalcError, NotExpressible, NotInclusion, PreconditionError
 from .expression import (
     UNIT,
     Expression,
@@ -161,10 +161,14 @@ def _subproofs(p: Proof) -> tuple:
 
 def _fill_endpoints(p: Proof) -> None:
     # Children first, from an explicit stack, so depth costs no recursion.
+    # A child without endpoints is pushed, so it is checked to be a proof
+    # node before any of its fields are read.
     stack = [p]
     while stack:
         node = stack[-1]
-        unfilled = [q for q in _subproofs(node) if q._source is None]
+        if type(node) not in _KIND:
+            raise PreconditionError(f"{type(node).__name__} is not a proof node")
+        unfilled = [q for q in _subproofs(node) if getattr(q, "_source", None) is None]
         if unfilled:
             stack.extend(unfilled)
             continue
@@ -185,14 +189,15 @@ def _fill_endpoints(p: Proof) -> None:
 
 
 def proof_source(p: Proof) -> Expression:
-    # Filled on first read, so an ill-formed hand-built node still constructs.
-    if p._source is None:
+    # Filled on first read, so an ill-formed hand-built node still constructs;
+    # PreconditionError if the tree holds something that is not a proof node.
+    if getattr(p, "_source", None) is None:
         _fill_endpoints(p)
     return p._source
 
 
 def proof_target(p: Proof) -> Expression:
-    if p._target is None:
+    if getattr(p, "_target", None) is None:
         _fill_endpoints(p)
     return p._target
 
@@ -324,7 +329,7 @@ def verify_proof(p: Proof) -> bool:
     """Check every node invariant; endpoints must evaluate to included posets."""
     try:
         return _verify(p, {})
-    except (DepcalcError, AssertionError):
+    except DepcalcError:
         return False
 
 

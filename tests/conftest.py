@@ -11,6 +11,10 @@ the zig-zag), the tropical oracle sums over the chains it walks out of the
 pair set itself, the Gantt oracle tests every chart cell against its time
 window, and the strategy oracle for the polynomial product enumerates choice
 functions directly.
+
+The duality helpers (``opposite``, ``mirror``) are not oracles: the tests that
+use them run the library on a poset and on its opposite and compare, so they
+check answers at sizes the pair-set oracles cannot reach.
 """
 
 from __future__ import annotations
@@ -22,8 +26,17 @@ from itertools import combinations, permutations, product
 
 from hypothesis import settings
 
-from depcalc import FinitePoset, PreconditionError, empty, enumerate_posets, from_pairs
+from depcalc import (
+    FinitePoset,
+    PreconditionError,
+    act,
+    empty,
+    enumerate_posets,
+    from_pairs,
+    transitive_reduction,
+)
 from depcalc.expression import Otimes, Tri, Unit, Var
+from depcalc.structure_maps import Compose, Equiv, InterchangerSubst, OtimesPar, TriPar
 from depcalc.diagram import (
     GenCell,
     IdCell,
@@ -424,6 +437,58 @@ def middle_out(n: int) -> list[int]:
     fall along an order listed in that sequence."""
     half = n // 2
     return sorted(range(n), key=lambda v: 2 * (v - half) - 1 if v > half else 2 * (half - v))
+
+
+def opposite(p: FinitePoset) -> FinitePoset:
+    """p°: i < j exactly when j < i in p, closed from p's reversed cover pairs."""
+    return from_pairs(p.size, [(j, i) for i, j in transitive_reduction(p)])
+
+
+def mirror(x):
+    """The dual of a term or a proof under p -> p°, built node by node.
+
+    ox is symmetric and tri reverses its order, so a term's mirror reverses
+    every Tri's children.  A proof's mirror reverses TriPar's parts and swaps
+    the interchanger's corners a <-> b and c <-> d: the mirror of
+    (a tri b) ox (c tri d) -> (a ox c) tri (b ox d) is
+    (b° tri a°) ox (d° tri c°) -> (b° ox d°) tri (a° ox c°).
+    """
+    if isinstance(x, (Var, Unit)):
+        return x
+    if isinstance(x, Otimes):
+        return Otimes(tuple(map(mirror, x.children)))
+    if isinstance(x, Tri):
+        return Tri(tuple(map(mirror, reversed(x.children))))
+    if isinstance(x, Equiv):
+        return Equiv(mirror(x.source), mirror(x.target))
+    if isinstance(x, Compose):
+        return Compose(mirror(x.left), mirror(x.right))
+    if isinstance(x, OtimesPar):
+        return OtimesPar(tuple(map(mirror, x.parts)))
+    if isinstance(x, TriPar):
+        return TriPar(tuple(map(mirror, reversed(x.parts))))
+    a, b, c, d = map(mirror, x.corners)
+    return InterchangerSubst(b, a, d, c)
+
+
+def dual_shapes():
+    """Every poset with n <= 5, then random and planted series-parallel posets
+    with n = 8-256, each under a random and the middle-out relabelling."""
+    for n in range(6):
+        yield from all_posets(n)
+    rng = random.Random(20261021)
+    for n in (8, 16, 64, 256):
+        for planted in (False, True):
+            p = random_sp_poset(rng, n, planted)
+            for tau in (rng.sample(range(n), n), middle_out(n)):
+                yield act(tau, p)
+
+
+def induces_zigzag(p: FinitePoset, quad) -> bool:
+    """Whether the four elements' induced order is exactly a < b, c < b, c < d."""
+    a, b, c, d = quad
+    related = {(x, y) for x in quad for y in quad if p.lt(x, y)}
+    return related == {(a, b), (c, b), (c, d)}
 
 
 def alternating_nest(depth: int) -> str:

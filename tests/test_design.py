@@ -9,11 +9,13 @@ its field list on the one ``Record`` base.  Only the two derivation walks of
 ``normalize`` does not, and one walk gives the linear extensions.  Chains and
 full embeddings are test oracles, not library functions.  Posets carry their
 covers, which one private function searches for only where a poset was built
-without them.  Recognition scans each prime part in place, on the poset's own
-masks, through the one zig-zag scan that ``find_z`` also runs; it copies no
-part into an induced sub-poset, and nothing in the library calls ``find_z``.
-Both of its splits are the one component search, ``components``: over the
-comparability masks for a disjoint union, over their complement for a join.
+without them.  Recognition is ``decompose`` alone: it scans each prime part in
+place, on the poset's own masks, through the one zig-zag scan; it copies no
+part into an induced sub-poset, ``find_z`` only reads its obstruction, and
+nothing in the library calls ``find_z``.  Both of its splits are the one
+component search, ``components``: over the comparability masks for a
+disjoint union, over their complement for a join.  The polynomial comparitor
+is the interchanger at unit corners, with no lens of its own.
 Importing the package generates no code, and loads every layer.  The traced
 benchmark names only functions and memo caches the library has.
 """
@@ -125,7 +127,7 @@ def test_prime_parts_are_scanned_in_place():
         whole += _callers("find_z", path.stem, tree)
         scans += _callers("_least_zigzag", path.stem, tree)
     assert whole == []
-    assert sorted(scans) == [("expressible", "find_z"), ("expressible", "normal_form")]
+    assert scans == [("expressible", "normal_form")]
 
 
 def test_both_splits_are_one_component_search():
@@ -143,6 +145,16 @@ def test_both_splits_are_one_component_search():
                 for item in node.elts)
         for other in node.elts if isinstance(other, ast.Name))
     assert paired == ["Otimes", "Tri"]
+
+
+def test_the_comparitor_is_the_interchanger_at_unit_corners():
+    (comparitor,) = [node for node in _tree("polynomial").body
+                     if isinstance(node, ast.FunctionDef) and node.name == "comparitor"]
+    called = {node.func.id for node in ast.walk(comparitor)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "interchanger" in called
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(comparitor))
 
 
 #: Poset splits that ``structure_maps`` must not import: its terms hold them.

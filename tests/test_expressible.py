@@ -24,9 +24,21 @@ from depcalc import (
     substitute,
 )
 
+from depcalc.expressible import _least_zigzag
 from depcalc.expression import is_normal
+from depcalc.poset import comparability_graph
 
-from conftest import all_posets, buildable_posets, middle_out, oracle_find_z, random_sp_poset
+from conftest import (
+    all_posets,
+    buildable_posets,
+    dual_shapes,
+    induces_zigzag,
+    middle_out,
+    mirror,
+    opposite,
+    oracle_find_z,
+    random_sp_poset,
+)
 
 EXPR_POSET = from_pairs(4, [(0, 1), (0, 2), (2, 3)])  # x0 below x1, x2; x2 below x3
 
@@ -46,6 +58,11 @@ def test_find_z_lexicographically_least():
 def _oracle_witness(p):
     quad = oracle_find_z(p)
     return None if quad is None else Obstruction(quad)
+
+
+def _whole_scan(p):
+    """The zig-zag scan run once over every element: no split, no prime part."""
+    return _least_zigzag(p.rows, comparability_graph(p), (1 << p.size) - 1)
 
 
 def test_find_z_is_the_oracles_least_witness():
@@ -131,7 +148,7 @@ def _prime_shape(rng, n):
 def test_decompose_least_witness_across_prime_parts():
     # Each shape under its own labels, a random relabelling and the
     # middle-out one: decompose's witness, found part by part, is the
-    # whole-poset scan's and the oracle's.
+    # whole-poset scan's and the oracle's, and find_z reads it.
     rng = random.Random(20261020)
     blocked = 0
     for _ in range(200):
@@ -140,23 +157,23 @@ def test_decompose_least_witness_across_prime_parts():
         for tau in (range(n), rng.sample(range(n), n), middle_out(n)):
             q = act(list(tau), p)
             expected, result = _oracle_witness(q), decompose(q)
-            assert find_z(q) == expected
+            assert find_z(q) == _whole_scan(q) == expected
             assert (result if isinstance(result, Obstruction) else None) == expected
             blocked += expected is not None
     assert blocked >= 400
     # Two zig-zags; element 0 is the d of the first, whose witness is
     # (5, 6, 7, 0), so the least witness lies in the part expanded second.
     q = act([5, 6, 7, 0, 1, 2, 3, 4], disjoint_union(ZIGZAG, ZIGZAG))
-    assert decompose(q) == find_z(q) == _oracle_witness(q) == Obstruction((1, 2, 3, 4))
+    assert decompose(q) == _whole_scan(q) == _oracle_witness(q) == Obstruction((1, 2, 3, 4))
 
 
 def test_decompose_keeps_no_copy_of_a_prime_part():
-    # A prime part is scanned in place: no induced sub-poset enters find_z's memo.
+    # A prime part is scanned in place: no induced sub-poset enters a memo.
     p = join(chain(2), disjoint_union(substitute(ZIGZAG, [chain(3), antichain(2), chain(1),
                                                           chain(5)]), ZIGZAG))
-    before = find_z.cache_info().currsize
+    before = find_z.cache_info().currsize, decompose.cache_info().currsize
     assert decompose.__wrapped__(p) == Obstruction((2, 5, 7, 8))
-    assert find_z.cache_info().currsize == before
+    assert (find_z.cache_info().currsize, decompose.cache_info().currsize) == before
 
 
 def test_decompose_builds_normal_terms():
@@ -241,17 +258,36 @@ def test_decompose_obstruction_is_the_oracles_least_witness():
 
 
 @pytest.mark.slow
-def test_decompose_obstruction_is_find_zs_six():
+def test_decompose_obstruction_is_the_whole_scans_six():
+    # The least zig-zag of the prime parts is the poset's least zig-zag.
     for p in all_posets(6):
         result = decompose(p)
-        assert (result if isinstance(result, Obstruction) else None) == find_z(p)
+        assert (result if isinstance(result, Obstruction) else None) == _whole_scan(p)
+
+
+def test_decompose_of_the_opposite_is_the_mirror():
+    # Reversing the order mirrors the normal form; a zig-zag read backwards is
+    # a zig-zag of the opposite, so the opposite's least one is no greater.
+    kinds = [0, 0]
+    for p in dual_shapes():
+        dual = opposite(p)
+        result, other = decompose(p), decompose(dual)
+        if isinstance(result, Obstruction):
+            backwards = result.elements[::-1]
+            assert induces_zigzag(dual, backwards)
+            assert isinstance(other, Obstruction) and induces_zigzag(dual, other.elements)
+            assert other.elements <= backwards
+        else:
+            assert other is mirror(result)
+        kinds[isinstance(result, Obstruction)] += 1
+    assert kinds == [3010 + 8, 1464 + 8]  # the posets with n <= 5, then the drawn ones
 
 
 def test_decompose_reports_the_least_zigzag_not_the_first_part_split():
     # The part holding a bottom element under a zig-zag is expanded first,
     # but the least zig-zag lies in the other component.
     p = act([7, 6, 8, 2, 0, 4, 3, 5, 1], disjoint_union(join(singleton(), ZIGZAG), ZIGZAG))
-    assert find_z(p) == Obstruction((4, 3, 5, 1))
+    assert _whole_scan(p) == Obstruction((4, 3, 5, 1))
     assert decompose(p) == Obstruction((4, 3, 5, 1))
 
 

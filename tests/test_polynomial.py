@@ -231,11 +231,31 @@ def test_interchanger_always_valid():
         assert is_valid_morphism(m)
 
 
+def _constant_lens(p, q):
+    """dirichlet(p, q) -> compose(p, q) written out: (I, J) goes to (I,
+    constantly J), whose composite directions (i, j) are the pair's, in order."""
+    composite = [(i, f) for i, d in enumerate(p.directions)
+                 for f in product(range(q.positions), repeat=d)]
+    pairs = [(i, j) for i in range(p.positions) for j in range(q.positions)]
+    position_map = tuple(composite.index((i, (j,) * p.directions[i])) for i, j in pairs)
+    direction_maps = tuple(tuple(range(p.directions[i] * q.directions[j])) for i, j in pairs)
+    return PolyMorphism(dirichlet(p, q), compose(p, q), position_map, direction_maps)
+
+
 def test_interchanger_unit_specialization_is_comparitor():
-    # with the two middle arguments trivial, interchanging is exactly comparing
-    for p in TINY:
-        for s in TINY:
-            assert interchanger(p, Y, Y, s) == comparitor(p, s)
+    # with the two middle arguments trivial, interchanging is exactly comparing:
+    # every polynomial with at most two positions of at most three directions
+    small = [poly(*ds) for n in range(3) for ds in product(range(4), repeat=n)]
+    for p in small:
+        for s in small:
+            assert interchanger(p, Y, Y, s) == comparitor(p, s) == _constant_lens(p, s)
+
+
+def test_comparitor_is_guarded_before_building():
+    # One position each, but 1,100 x 1,000 directions to pull back.
+    with pytest.raises(SizeError, match=str(MAX_COMPOSE_ENTRIES)):
+        comparitor(poly(1100), poly(1000))
+    assert comparitor(poly(110), poly(100)) == _constant_lens(poly(110), poly(100))
 
 
 def test_compose_guard_counts_entries(monkeypatch):

@@ -17,6 +17,7 @@ from depcalc import (
     NotExpressible,
     NotInclusion,
     OtimesPar,
+    PreconditionError,
     TriPar,
     ZIGZAG,
     Obstruction,
@@ -40,6 +41,8 @@ from depcalc.structure_maps import proof_source, proof_target, proof_to_json_dic
 from conftest import (
     all_posets,
     buildable_posets,
+    mirror,
+    opposite,
     oracle_evaluate,
     oracle_verify_proof,
     packed,
@@ -499,3 +502,30 @@ def test_verify_proof_agrees_with_the_proof_oracle():
     assert all(rejected.values())
     assert rejected["identity-target"] == seen["identity-target"]
     assert rejected["repeat-part"] == seen["repeat-part"]
+
+
+def test_a_tree_holding_something_else_is_no_proof():
+    # A child that is not a proof node fails verification; the readers of a
+    # proof name it in one line.
+    for tree in (TriPar((Var(0),)), Compose(Var(0), Var(1)), Var(0)):
+        assert verify_proof(tree) is False
+        for read in (proof_source, format_proof, proof_to_json_dict):
+            with pytest.raises(PreconditionError, match="^Var is not a proof node$"):
+                read(tree)
+
+
+def test_mirrored_proofs_verify_between_the_opposites():
+    # Duality does not preserve the crossing case's choice of children, so
+    # the mirrored proof need not be the derived one; it must still check out.
+    pairs = 0
+    for n in range(5):
+        posets = [p for p in all_posets(n) if p in buildable_posets(n)]
+        for p in posets:
+            for q in posets:
+                if is_inclusion(p, q):
+                    proof = mirror(derive_structure_map(p, q))
+                    assert verify_proof(proof)
+                    assert proof_source(proof) is decompose(opposite(p))
+                    assert proof_target(proof) is decompose(opposite(q))
+                    pairs += 1
+    assert pairs == 2803

@@ -30,7 +30,9 @@ from conftest import (
     all_posets,
     buildable_posets,
     chain_sum_boxtimes,
+    dual_shapes,
     gantt_per_cell,
+    opposite,
     random_runtime,
 )
 
@@ -152,6 +154,14 @@ def test_schedule_consistency(data):
     assert got == plan.makespan
     for a, b in zip(plan.critical_chain, plan.critical_chain[1:]):
         assert p.lt(a, b)
+
+
+def test_schedule_makespan_of_the_opposite():
+    # A longest chain read backwards is a longest chain of the opposite.
+    rng = random.Random(20261021)
+    for p in dual_shapes():
+        runtimes = [random_runtime(rng) for _ in range(p.size)]
+        assert schedule(opposite(p), runtimes).makespan == schedule(p, runtimes).makespan
 
 
 def test_check_interchange_examples():
