@@ -156,14 +156,11 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
     # Under a total relation only a stage holding an undeclared type can fail.
     declared = frozenset(pg.types) if check_compat and pg.total else frozenset()
 
-    def fail(stage: int, reason: str) -> InvalidDiagram:
-        return InvalidDiagram(reason, stage)
-
     def check_stage(stage: int, types: list[str]):
         if check_compat and not (declared and declared.issuperset(types)):
             for a, b in zip(types, types[1:]):
                 if (a, b) not in compat:
-                    raise fail(stage, f"types {a!r} and {b!r} are not compatible neighbors")
+                    raise InvalidDiagram(f"types {a!r} and {b!r} are not compatible neighbors", stage)
 
     cur_types = list(diag.inputs)
     cur_prov: list[int | None] = [None] * len(cur_types)  # producing instance
@@ -180,7 +177,7 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
             kind = type(cell)
             if kind is IdCell:
                 if pos >= width or cur_types[pos] != cell.type:
-                    raise fail(layer_idx, f"identity cell expects {cell.type!r} at wire {pos}")
+                    raise InvalidDiagram(f"identity cell expects {cell.type!r} at wire {pos}", layer_idx)
                 new_types.append(cell.type)
                 new_prov.append(cur_prov[pos])
                 pos += 1
@@ -188,17 +185,17 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
                 left, right = cell.left, cell.right
                 # The stage check has already passed (left, right) as neighbors.
                 if pos + 1 >= width or cur_types[pos] != left or cur_types[pos + 1] != right:
-                    raise fail(layer_idx, f"transposition mismatch at wire {pos}")
+                    raise InvalidDiagram(f"transposition mismatch at wire {pos}", layer_idx)
                 new_types += (right, left)
                 new_prov += (cur_prov[pos + 1], cur_prov[pos])
                 pos += 2
             elif kind is GenCell:
                 if cell.gen not in gens:
-                    raise fail(layer_idx, f"unknown generator {cell.gen!r}")
+                    raise InvalidDiagram(f"unknown generator {cell.gen!r}", layer_idx)
                 src, tgt = gens[cell.gen]
                 end = pos + len(src)
                 if end > width or tuple(cur_types[pos:end]) != src:
-                    raise fail(layer_idx, f"generator {cell.gen!r} input mismatch at wire {pos}")
+                    raise InvalidDiagram(f"generator {cell.gen!r} input mismatch at wire {pos}", layer_idx)
                 element = len(instances)
                 for producer in cur_prov[pos:end]:
                     if producer is not None:
@@ -208,14 +205,14 @@ def _trace(diag: StringDiagram, check_compat: bool = False):
                 new_prov += [element] * len(tgt)
                 pos = end
             else:
-                raise fail(layer_idx, f"unknown cell {cell!r}")
+                raise InvalidDiagram(f"unknown cell {cell!r}", layer_idx)
         if pos != width:
-            raise fail(layer_idx, f"layer consumed {pos} of {width} wires")
+            raise InvalidDiagram(f"layer consumed {pos} of {width} wires", layer_idx)
         cur_types, cur_prov = new_types, new_prov
         check_stage(layer_idx + 1, cur_types)
 
     if cur_types != list(diag.outputs):
-        raise fail(len(diag.layers), f"final stage {cur_types!r} != outputs {list(diag.outputs)!r}")
+        raise InvalidDiagram(f"final stage {cur_types!r} != outputs {list(diag.outputs)!r}", len(diag.layers))
     return tuple(instances), relations
 
 

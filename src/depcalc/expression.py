@@ -26,8 +26,8 @@ a text lives exactly as long as its term.  ``format_expression`` itself
 keeps no texts, so formatting a deep term retains nothing.
 
 Text syntax (parse/format): ``e`` for the unit, ``x<i>`` for variable i
-(ASCII digits only), ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested at
-most ``MAX_NESTING`` parentheses deep, with i below ``poset.MAX_ELEMENTS``.
+(ASCII digits only), ``(ox e1 e2 ...)`` and ``(tri e1 e2 ...)``, nested to
+any depth (both run on explicit stacks), with i below ``poset.MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -172,13 +172,6 @@ UNIT = object.__new__(Unit)
 _set(UNIT, "mask", 0)
 _set(UNIT, "low", -1)
 _set(UNIT, "_text", "e")
-
-#: Deepest parenthesis nesting ``parse_expression`` accepts.  The parser and
-#: ``repr`` recurse once per level; this keeps a parsed term well inside
-#: Python's default recursion limit even when ox and tri alternate, so that no
-#: level flattens into its parent.
-MAX_NESTING = 200
-
 
 def variables(expr: Expression) -> tuple[int, ...]:
     """Sorted variable indices."""
@@ -336,48 +329,41 @@ def _is_var_token(tok: str) -> bool:
 def parse_expression(text: str) -> Expression:
     """Parse the s-expression syntax, normalizing as it builds.
 
-    Nesting past ``MAX_NESTING`` and a variable index of ``MAX_ELEMENTS`` or
-    more are rejected before any term is built.
+    Open products wait on a stack, so depth costs no recursion.  A variable
+    index of ``MAX_ELEMENTS`` or more is rejected before any term is built.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    depth = 0
     for tok in tokens:
-        depth += (tok == "(") - (tok == ")")
-        if depth > MAX_NESTING:
-            raise MalformedExpression(f"expression nests deeper than {MAX_NESTING} parentheses")
         if _is_var_token(tok):
             digits = tok[1:].lstrip("0")
             if len(digits) > len(str(MAX_ELEMENTS)) or int(digits or 0) >= MAX_ELEMENTS:
                 raise MalformedExpression(
                     f"variable {tok} is out of range; indices stop below {MAX_ELEMENTS}"
                 )
-    pos = 0
-
-    def parse_one() -> Expression:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MalformedExpression("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "e":
-            return UNIT
-        if _is_var_token(tok):
-            return Var(int(tok[1:]))
+    rest = iter(tokens)  # the tokens not yet read
+    stack: list[tuple] = []  # open products, outermost first: (constructor, children)
+    for tok in rest:
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos] not in ("ox", "tri"):
+            head = next(rest, None)
+            if head not in ("ox", "tri"):
                 raise MalformedExpression("expected 'ox' or 'tri' after '('")
-            head = tokens[pos]
-            pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse_one())
-            if pos >= len(tokens):
-                raise MalformedExpression("missing ')'")
-            pos += 1
-            return ox(*children) if head == "ox" else tri(*children)
-        raise MalformedExpression(f"unexpected token {tok!r}")
-
-    expr = parse_one()
-    if pos != len(tokens):
-        raise MalformedExpression(f"trailing tokens after expression: {tokens[pos:]}")
+            stack.append((ox if head == "ox" else tri, []))
+            continue
+        if tok == ")" and stack:
+            make, children = stack.pop()
+            expr = make(*children)
+        elif tok == "e":
+            expr = UNIT
+        elif _is_var_token(tok):
+            expr = Var(int(tok[1:]))
+        else:
+            raise MalformedExpression(f"unexpected token {tok!r}")
+        if not stack:
+            break
+        stack[-1][1].append(expr)
+    else:
+        raise MalformedExpression("missing ')'" if stack else "unexpected end of expression")
+    trailing = list(rest)
+    if trailing:
+        raise MalformedExpression(f"trailing tokens after expression: {trailing}")
     return expr

@@ -30,12 +30,13 @@ from .poset import FinitePoset, _is_json_int, is_linear_extension
 from .record import Record
 
 BOX_MAX_FACTORS = 4
-BOX_MAX_POSITIONS = 4
 
-#: Most entries ``dirichlet``, ``compose`` and ``interchanger`` (so
-#: ``comparitor``) build; past it each raises SizeError before enumerating
-#: anything.  ``dirichlet(p, q)`` builds |p| * |q| positions; ``compose(p, q)``
-#: builds sum(|q| ** d * max(d, 1)) entries over p's direction counts d.
+#: Most entries ``dirichlet``, ``compose``, ``interchanger`` (so ``comparitor``)
+#: and ``boxtimes_poly`` build; past it each raises SizeError.  The first three
+#: count before enumerating: ``dirichlet(p, q)`` builds |p| * |q| positions,
+#: ``compose(p, q)`` sum(|q| ** d * max(d, 1)) entries over p's direction
+#: counts d.  ``boxtimes_poly``, whose size only enumerating tells, counts its
+#: partial strategies and direction tuples as it builds them.
 MAX_COMPOSE_ENTRIES = 1 << 20
 
 
@@ -235,8 +236,8 @@ def boxtimes_poly(
     A position is a family assigning, to stage k of the extension, a position
     of that stage's factor as a function of the directions chosen at its
     dependency-predecessor stages; its directions are the full direction
-    tuples consistent with those choices.  Exponential in the worst case, so
-    guarded to the small scale this package targets.
+    tuples consistent with those choices.  Exponential, so capped at
+    ``BOX_MAX_FACTORS`` factors and ``MAX_COMPOSE_ENTRIES`` entries built.
     """
     if len(parts) != p.size:
         raise ArityError(f"expected {p.size} parts, got {len(parts)}")
@@ -245,39 +246,41 @@ def boxtimes_poly(
         raise InvalidExtension(f"{ell!r} is not a linear extension of the poset")
     if p.size > BOX_MAX_FACTORS:
         raise SizeError(f"boxtimes_poly is guarded at {BOX_MAX_FACTORS} factors")
-    if any(part.positions > BOX_MAX_POSITIONS for part in parts):
-        raise SizeError(f"boxtimes_poly parts are guarded at {BOX_MAX_POSITIONS} positions")
 
     n = p.size
     stage_poly = [parts[e] for e in ell]
     preds = [[t for t in range(k) if p.lt(ell[t], ell[k])] for k in range(n)]
-
-    def assignments(stages: list[int], choices: list[dict]) -> list[dict[int, int]]:
-        # Valid direction assignments to a predecessor-closed stage set; the
-        # direction range at stage t follows from t's chosen position, which
-        # is determined by the restriction to preds[t].
-        result: list[dict[int, int]] = [{}]
-        for t in stages:
-            step: list[dict[int, int]] = []
-            for asg in result:
-                pos = choices[t][tuple(asg[u] for u in preds[t])]
-                for d in range(stage_poly[t].directions[pos]):
-                    extended = dict(asg)
-                    extended[t] = d
-                    step.append(extended)
-            result = step
-        return result
-
+    built = [0]  # partial strategies and direction tuples so far
     counts: list[int] = []
     choices: list[dict] = []
 
+    def count(entries: int) -> None:
+        built[0] += entries
+        if built[0] > MAX_COMPOSE_ENTRIES:
+            raise SizeError(f"boxtimes_poly is guarded at {MAX_COMPOSE_ENTRIES} entries")
+
+    def assignments(stages) -> list[tuple[int, ...]]:
+        # Valid direction tuples over a predecessor-closed stage list, in its
+        # order: stage t's range follows from the position chosen for the
+        # directions at preds[t].  Each step is counted before it is built.
+        at = {u: i for i, u in enumerate(stages)}
+        result: list[tuple[int, ...]] = [()]
+        for t in stages:
+            step: list[tuple[int, ...]] = []
+            for asg in result:
+                directions = stage_poly[t].directions[choices[t][tuple(asg[at[u]] for u in preds[t])]]
+                count(directions)
+                step += [asg + (d,) for d in range(directions)]
+            result = step
+        return result
+
     def build(k: int) -> None:
         if k == n:
-            counts.append(len(assignments(list(range(n)), choices)))
+            counts.append(len(assignments(range(n))))
             return
-        domain = assignments(preds[k], choices)
-        keys = [tuple(asg[u] for u in preds[k]) for asg in domain]
+        keys = assignments(preds[k])
         for combo in product(range(stage_poly[k].positions), repeat=len(keys)):
+            count(1)
             choices.append(dict(zip(keys, combo)))
             build(k + 1)
             choices.pop()

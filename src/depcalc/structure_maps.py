@@ -30,7 +30,8 @@ fold over the term that returns one up-set mask per variable (each distinct
 term once per call), and tests inclusion variable by variable, so a fault in
 the derivation's splits cannot make a wrong derivation check out.  The one
 node it accepts without evaluating is an ``Equiv`` whose two sides are the
-same term: the identity.  A tree holding anything but proof nodes fails it.
+same term: the identity.  A tree holding anything but proof nodes, par parts
+that are not a tuple or an ``Equiv`` side that is not a term fails it.
 
 Proof nodes are records (``depcalc.record``) whose fields are their children,
 or an ``Equiv``'s two terms; they are not interned.  Each stores the hash of
@@ -61,6 +62,7 @@ from .expression import (
     Expression,
     Otimes,
     Tri,
+    _Term,
     _low,
     _set,
     ox,
@@ -159,46 +161,57 @@ def _subproofs(p: Proof) -> tuple:
     return p.parts if isinstance(p, _Par) else p._key(p)
 
 
+def _unfilled(p) -> bool:
+    # Until its endpoints are terms: for good, if an Equiv holds anything else.
+    return not (isinstance(getattr(p, "_source", None), _Term)
+                and isinstance(getattr(p, "_target", None), _Term))
+
+
 def _fill_endpoints(p: Proof) -> None:
-    # Children first, from an explicit stack, so depth costs no recursion.
-    # A child without endpoints is pushed, so it is checked to be a proof
-    # node before any of its fields are read.
+    # Children first, from an explicit stack: a node waits under ``ready``
+    # below its unfilled children, each checked before any field is read.
+    ready = object()
     stack = [p]
     while stack:
-        node = stack[-1]
-        if type(node) not in _KIND:
-            raise PreconditionError(f"{type(node).__name__} is not a proof node")
-        unfilled = [q for q in _subproofs(node) if getattr(q, "_source", None) is None]
-        if unfilled:
-            stack.extend(unfilled)
+        node = stack.pop()
+        if node is ready:
+            node = stack.pop()
+            if isinstance(node, Compose):
+                src, tgt = node.left._source, node.right._target
+            elif isinstance(node, _Par):
+                make = ox if isinstance(node, OtimesPar) else tri
+                src = make(*(q._source for q in node.parts))
+                tgt = make(*(q._target for q in node.parts))
+            else:
+                a, b, c, d = (q._source for q in node.corners)
+                src = ox(tri(a, b), tri(c, d))
+                a, b, c, d = (q._target for q in node.corners)
+                tgt = tri(ox(a, c), ox(b, d))
+            _set(node, "_source", src)
+            _set(node, "_target", tgt)
             continue
-        stack.pop()
-        if isinstance(node, Compose):
-            src, tgt = node.left._source, node.right._target
-        elif isinstance(node, _Par):
-            make = ox if isinstance(node, OtimesPar) else tri
-            src = make(*(q._source for q in node.parts))
-            tgt = make(*(q._target for q in node.parts))
-        else:
-            a, b, c, d = (q._source for q in node.corners)
-            src = ox(tri(a, b), tri(c, d))
-            a, b, c, d = (q._target for q in node.corners)
-            tgt = tri(ox(a, c), ox(b, d))
-        _set(node, "_source", src)
-        _set(node, "_target", tgt)
+        kind = type(node)
+        if kind not in _KIND:
+            raise PreconditionError(f"{kind.__name__} is not a proof node")
+        if kind is Equiv:  # unfilled only while a side is not a term
+            bad = next(e for e in node._key(node) if not isinstance(e, _Term))
+            raise PreconditionError(f"{type(bad).__name__} is not an expression")
+        subs = _subproofs(node)
+        if type(subs) is not tuple:
+            raise PreconditionError(f"{kind.__name__} parts are {type(subs).__name__}, not a tuple")
+        stack += (node, ready)
+        stack.extend([q for q in subs if _unfilled(q)])
 
 
 def proof_source(p: Proof) -> Expression:
-    # Filled on first read, so an ill-formed hand-built node still constructs;
-    # PreconditionError if the tree holds something that is not a proof node.
-    if getattr(p, "_source", None) is None:
+    # Filled on first read: an ill-formed hand-built tree constructs, its readers raise.
+    if _unfilled(p):
         _fill_endpoints(p)
     return p._source
 
 
 def proof_target(p: Proof) -> Expression:
-    if getattr(p, "_target", None) is None:
-        _fill_endpoints(p)
+    proof_source(p)
     return p._target
 
 

@@ -20,7 +20,6 @@ from depcalc import (
     verify_proof,
 )
 from depcalc.cli import EXIT_INTERNAL, main
-from depcalc.expression import MAX_NESTING
 from depcalc.polynomial import MAX_COMPOSE_ENTRIES
 from depcalc.poset import MAX_ELEMENTS, from_json_dict, to_json_dict
 from depcalc.tropical import MAX_GANTT_COLUMNS
@@ -581,6 +580,15 @@ def test_poly_ox_past_the_compose_cap_exits_two(write, capsys):
     assert str(MAX_COMPOSE_ENTRIES) in err
 
 
+def test_poly_boxtimes_past_the_count_exits_two(write, capsys):
+    chains = write("c.json", {"elements": 3, "relations": [[0, 1], [1, 2]]})
+    part = write("q.json", {"positions": [3, 3, 3, 3]})
+    code, out, err = run(capsys, "poly", "boxtimes", "--poset", chains, "--parts", part, part, part)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_COMPOSE_ENTRIES) in err
+
+
 def test_poly_verbose_table(write, capsys):
     left = write("l.json", {"positions": [2, 1]})
     right = write("r.json", {"positions": [1, 0]})
@@ -627,12 +635,19 @@ def test_relations_that_are_not_a_list_exit_two(write, capsys, relations):
     assert err == "error: 'relations' must be a list of [i, j] pairs\n"
 
 
-def test_eval_nesting_past_the_cap_exits_two(capsys):
-    depth = MAX_NESTING + 1
-    for expr in (alternating_nest(depth), "(tri " * 1500 + "x0" + ")" * 1500):
-        code, out, err = run(capsys, "eval", "--expr", expr)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+def test_eval_reads_any_depth(capsys):
+    # In the alternating nest each odd (tri) level's variable is covered by
+    # the next two; the even (ox) levels' variables are maximal.
+    depth = 5000
+    covers = [(k, j) for k in range(1, depth, 2) for j in (k + 1, k + 2) if j <= depth]
+    expected = "".join(
+        ["digraph poset {\n", *(f"  {i};\n" for i in range(depth + 1)),
+         *(f"  {i} -> {j};\n" for i, j in covers), "}\n"]
+    )
+    assert run(capsys, "eval", "--expr", alternating_nest(depth), "--format", "dot") == (
+        0, expected, "")
+    deep_chain = "(tri " * 1500 + "x0" + ")" * 1500
+    assert run(capsys, "eval", "--expr", deep_chain) == (0, "elements: 1\nrelations: (none)\n", "")
 
 
 def test_inputs_past_the_element_cap_exit_two(write, capsys):

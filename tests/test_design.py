@@ -6,18 +6,18 @@ relations that come from outside it.  Derivation reads the normal-form terms
 only, never the poset splits that ``decompose`` runs on.  Every value class is
 its field list on the one ``Record`` base.  Only the two derivation walks of
 ``structure_maps`` and the guarded ``enumerate_posets`` still recurse;
-``normalize`` does not, and one walk gives the linear extensions.  Chains and
-full embeddings are test oracles, not library functions.  Posets carry their
-covers, which one private function searches for only where a poset was built
-without them.  Recognition is ``decompose`` alone: it scans each prime part in
-place, on the poset's own masks, through the one zig-zag scan; it copies no
-part into an induced sub-poset, ``find_z`` only reads its obstruction, and
-nothing in the library calls ``find_z``.  Both of its splits are the one
-component search, ``components``: over the comparability masks for a
-disjoint union, over their complement for a join.  The polynomial comparitor
-is the interchanger at unit corners, with no lens of its own.
-Importing the package generates no code, and loads every layer.  The traced
-benchmark names only functions and memo caches the library has.
+``normalize`` and the parser do not, and one walk gives the linear extensions.
+Chains and full embeddings are test oracles, not library functions.  Posets
+carry their covers, which one private function searches for only where a poset
+was built without them.  Recognition is ``decompose`` alone: it scans each
+prime part in place, on the poset's own masks, through the one zig-zag scan;
+it copies no part into an induced sub-poset, ``find_z`` only reads its
+obstruction, and nothing in the library calls ``find_z``.  Both of its splits
+are the one component search, ``components``: over the comparability masks for
+a disjoint union, over their complement for a join.  The polynomial comparitor
+is the interchanger at unit corners, with no lens of its own.  Importing the
+package generates no code, and loads every layer.  The traced benchmark names
+only functions and memo caches the library has.
 """
 
 import ast
@@ -248,7 +248,11 @@ def test_one_walk_for_linear_extensions_and_no_recursive_normalize():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "_kahn" not in defined and "heapq" not in imported
-    assert "normalize" not in _recursive(_tree("expression"))
+    # The parser reads on a stack too, so no expression depth is capped, and
+    # boxtimes_poly counts what it builds instead of capping its factors' size.
+    assert _recursive(_tree("expression")) == set()
+    assert not hasattr(depcalc.expression, "MAX_NESTING")
+    assert not hasattr(depcalc.polynomial, "BOX_MAX_POSITIONS")
 
 
 def test_poset_recurses_only_in_the_guarded_enumeration():

@@ -22,7 +22,7 @@ from depcalc import (
     tri,
 )
 from depcalc import expression
-from depcalc.expression import MAX_NESTING, up_sets
+from depcalc.expression import up_sets
 from depcalc.poset import MAX_ELEMENTS
 
 from conftest import all_posets, alternating_nest, oracle_evaluate, relabel, relation
@@ -190,18 +190,20 @@ def test_parse_accepts_ascii_digits_only(text):
         parse_expression(text)
 
 
-def test_parse_nesting_cap():
-    depth = MAX_NESTING
-    # x_k sits below everything after it exactly when its level is a tri.
+def test_parse_reads_any_depth():
+    # Open products wait on a stack, not on recursion.  Alternating heads
+    # keep every level: x_k sits below everything after it exactly when its
+    # level is a tri.
+    depth = 5000
+    text = alternating_nest(depth)
+    expr = parse_expression(text)
     expected = from_pairs(
-        depth + 1, [(k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1)]
+        depth + 1, ((k, j) for k in range(1, depth, 2) for j in range(k + 1, depth + 1))
     )
-    assert evaluate(parse_expression(alternating_nest(depth))) == expected
-    with pytest.raises(MalformedExpression, match="nests deeper than"):
-        parse_expression(alternating_nest(depth + 1))
-    # Same-kind levels flatten, but the text nesting is still capped.
-    with pytest.raises(MalformedExpression):
-        parse_expression("(tri " * (depth + 1) + "x0" + ")" * (depth + 1))
+    assert evaluate(expr) == expected
+    assert format_expression(expr) == text
+    # Same-kind levels flatten into their parent, down to the one variable.
+    assert parse_expression("(tri " * 1500 + "x0" + ")" * 1500) is Var(0)
 
 
 def test_parse_element_cap():

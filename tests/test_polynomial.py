@@ -333,8 +333,18 @@ def test_boxtimes_errors():
         boxtimes_poly(chain(2), [Y, Y], (1, 0))
     with pytest.raises(SizeError):
         boxtimes_poly(chain(5), [Y] * 5, (0, 1, 2, 3, 4))
-    with pytest.raises(SizeError):
-        boxtimes_poly(chain(1), [poly(1, 1, 1, 1, 1)], (0,))
+    # Positions per factor are not capped; what is built is counted.
+    assert boxtimes_poly(chain(1), [poly(1, 1, 1, 1, 1)], (0,)) == poly(1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("p, parts", [
+    (chain(3), [poly(3, 3, 3, 3)] * 3),  # 4 ** 13 strategies
+    (antichain(4), [poly(100)] * 4),  # one position of 10 ** 8 directions
+    (antichain(4), [poly(1000)] * 3 + [poly(0)]),  # no directions, after 10 ** 9 partial ones
+])
+def test_boxtimes_counts_what_it_builds(p, parts):
+    with pytest.raises(SizeError, match=f"guarded at {MAX_COMPOSE_ENTRIES} entries"):
+        boxtimes_poly(p, parts, tuple(range(p.size)))
 
 
 def test_boxtimes_zigzag_against_strategy_oracle():
@@ -352,6 +362,17 @@ def test_boxtimes_oracle_random():
         parts = [rng.choice(TINY) for _ in range(n)]
         ell = rng.choice(linear_extensions(p)) if n else ()
         assert sig(boxtimes_poly(p, parts, ell)) == strategy_oracle(p, parts, ell)
+
+
+def test_boxtimes_zero_direction_last_factor_against_strategy_oracle():
+    # A last factor with no directions empties every direction tuple but
+    # keeps the strategies of the factors before it.
+    rng = random.Random(59)
+    for n in range(1, 5):
+        for p in all_posets(n):
+            parts = [rng.choice(TINY) for _ in range(n - 1)] + [poly(0)]
+            ell = rng.choice(linear_extensions(p))
+            assert sig(boxtimes_poly(p, parts, ell)) == strategy_oracle(p, parts, ell)
 
 
 def test_boxtimes_extension_independent():

@@ -505,12 +505,23 @@ def test_verify_proof_agrees_with_the_proof_oracle():
 
 
 def test_a_tree_holding_something_else_is_no_proof():
-    # A child that is not a proof node fails verification; the readers of a
-    # proof name it in one line.
-    for tree in (TriPar((Var(0),)), Compose(Var(0), Var(1)), Var(0)):
+    # A child that is not a proof node, par parts that are not a tuple and an
+    # Equiv side that is not a term fail verification; the readers of a proof
+    # name what is wrong in one line.
+    for tree, message in (
+        (TriPar((Var(0),)), "Var is not a proof node"),
+        (Compose(Var(0), Var(1)), "Var is not a proof node"),
+        (Var(0), "Var is not a proof node"),
+        (Equiv(1, 2), "int is not an expression"),
+        (TriPar(Var(0)), "TriPar parts are Var, not a tuple"),
+        (Equiv(None, None), "NoneType is not an expression"),
+        (Equiv(Var(0), "x0"), "str is not an expression"),
+        (Compose(Equiv(Var(0), Var(0)), Equiv(Var(0), 1)), "int is not an expression"),
+        (Compose((Var(0),), Equiv(Var(0), Var(0))), "tuple is not a proof node"),
+    ):
         assert verify_proof(tree) is False
-        for read in (proof_source, format_proof, proof_to_json_dict):
-            with pytest.raises(PreconditionError, match="^Var is not a proof node$"):
+        for read in (proof_source, proof_target, format_proof, proof_to_json_dict):
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
                 read(tree)
 
 
